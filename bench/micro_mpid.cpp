@@ -129,14 +129,12 @@ mapred::JobDef wordcount(bool with_combiner) {
 /// SystemSpec::map_cpu_bytes_per_second (scaled for the 2011 testbed).
 void BM_MpidWordCount(benchmark::State& state) {
   const bool combine = state.range(0) != 0;
-  const bool flat = state.range(1) != 0;
-  const auto threads = static_cast<std::size_t>(state.range(2));
+  const auto threads = static_cast<std::size_t>(state.range(1));
   workloads::TextSpec text_spec;
   const std::uint64_t bytes = 4 * 1024 * 1024;
   const auto text = workloads::generate_text(text_spec, bytes, 42);
   const mapred::JobRunner runner(4, 2);
   auto job = wordcount(combine);
-  job.tuning.flat_combine_table = flat;
   job.tuning.map_threads = threads;
   job.tuning.reduce_threads = threads;
 
@@ -164,11 +162,10 @@ void BM_MpidWordCount(benchmark::State& state) {
   state.counters["arena_recycles"] = static_cast<double>(recycles);
 }
 BENCHMARK(BM_MpidWordCount)
-    ->Args({0, 1, 1})
-    ->Args({1, 1, 1})
-    ->Args({1, 0, 1})
-    ->Args({1, 1, 4})
-    ->ArgNames({"combiner", "flat", "threads"})
+    ->Args({0, 1})
+    ->Args({1, 1})
+    ->Args({1, 4})
+    ->ArgNames({"combiner", "threads"})
     ->Unit(benchmark::kMillisecond);
 
 /// The same WordCount under a tight mpid::store memory budget (~1/10 of

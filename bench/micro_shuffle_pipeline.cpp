@@ -1,18 +1,16 @@
-// Shuffle pipeline A/B microbenchmark.
+// Shuffle pipeline microbenchmark.
 //
 // Measures the MPI-D shuffle hot path end to end on in-process ranks —
-// mappers call MPI_D_Send, reducers drain MPI_D_Recv groups — and compares
-// the seed's synchronous copy-per-frame transport (pipelined=0) against
-// the pipelined zero-copy shuffle (pipelined=1: bounded-window owned
-// isends, pooled frame buffers, one-frame-ahead wildcard prefetch, direct
-// realignment when no combiner is configured).
+// mappers call MPI_D_Send, reducers drain MPI_D_Recv groups — over the
+// pipelined zero-copy transport: bounded-window owned isends, pooled
+// frame buffers, one-frame-ahead wildcard prefetch.
 //
-// Reported per mode:
+// Reported:
 //   bytes_per_second   — shuffled value payload / wall time
 //   mapper_stall_s     — aggregate wall time mappers spent inside the
 //                        transport while flushing frames (Stats::flush_wait_ns)
 //   frames             — partition frames shipped
-//   pool_hit_rate      — FramePool acquire hit rate (pipelined mode)
+//   pool_hit_rate      — FramePool acquire hit rate
 //
 // Results also land in BENCH_micro_shuffle_pipeline.json for the perf
 // trajectory across PRs.
@@ -79,14 +77,10 @@ core::JobReport run_shuffle(const core::Config& config) {
 }
 
 void BM_ShuffleThroughput(benchmark::State& state) {
-  const bool pipelined = state.range(0) != 0;
-
   core::Config config;
   config.mappers = kMappers;
   config.reducers = kReducers;
-  config.pipelined_shuffle = pipelined;
-  config.direct_realign = pipelined;  // part of the zero-copy path
-  // A dedicated pool per mode keeps hit-rate accounting clean.
+  // A dedicated pool keeps hit-rate accounting clean.
   config.frame_pool = std::make_shared<common::FramePool>();
 
   const std::int64_t payload =
@@ -111,9 +105,6 @@ void BM_ShuffleThroughput(benchmark::State& state) {
                              static_cast<double>(pc.acquires);
 }
 BENCHMARK(BM_ShuffleThroughput)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"pipelined"})
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
@@ -166,15 +157,13 @@ BENCHMARK(BM_FrameTransport)
 /// checksum) frame headers, mapper-side retention and ack/retransmit,
 /// while the injector drops the given permille of data frames. The
 /// recovery counters land in the JSON artifact next to mapper_stall_s, so
-/// the overhead of fault tolerance is tracked across PRs like the
-/// pipelined win is.
+/// the overhead of fault tolerance is tracked across PRs.
 void BM_ResilientShuffle(benchmark::State& state) {
   const double drop = static_cast<double>(state.range(0)) / 1000.0;
 
   core::Config config;
   config.mappers = kMappers;
   config.reducers = kReducers;
-  config.pipelined_shuffle = true;
   config.resilient_shuffle = true;
   config.frame_pool = std::make_shared<common::FramePool>();
 

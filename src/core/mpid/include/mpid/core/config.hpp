@@ -9,7 +9,7 @@
 // The dataflow knobs (spill/partition/combine/sort/compression) live in
 // shuffle::ShuffleOptions — the transport-agnostic pipeline shared with
 // MiniHadoop — which Config embeds by inheritance. Only transport policy
-// (pipelining, in-flight windows, resilience) is declared here.
+// (in-flight windows, frame pooling, resilience) is declared here.
 #pragma once
 
 #include <cstddef>
@@ -41,8 +41,8 @@ using Partitioner = shuffle::PartitionFn;
 /// MPI-D job configuration: the shared shuffle knobs (see
 /// shuffle::ShuffleOptions for spill_threshold_bytes,
 /// partition_frame_bytes, inline_combine_threshold, sort_values,
-/// sort_keys, flat_combine_table, shuffle_compression and the
-/// compress_* policy) plus MPI-D's transport policy.
+/// sort_keys, shuffle_compression and the compress_* policy) plus MPI-D's
+/// transport policy.
 ///
 /// Node aggregation (ShuffleOptions::node_aggregation / ranks_per_node):
 /// mapper m is modeled on node m / ranks_per_node and the lowest
@@ -51,7 +51,7 @@ using Partitioner = shuffle::PartitionFn;
 /// leader at finalize (a modeled shared-memory transfer on a reliable
 /// tag); the leader merges the node's streams through a
 /// shuffle::NodeAggregator and ships ONE frame stream per reducer
-/// partition. Composes with pipelined_shuffle, resilient_shuffle (the
+/// partition. Composes with resilient_shuffle (the
 /// leader's retained lanes hold the aggregated frames, so NACK/REPULL
 /// re-serves them) and map_threads (lanes stage raw; the merged stream
 /// is codec-framed once, at the leader).
@@ -67,25 +67,13 @@ struct Config : shuffle::ShuffleOptions {
   /// Optional partition selector; empty function means hash-mod.
   Partitioner partitioner;
 
-  /// Pipelined zero-copy shuffle: full partition frames are moved into the
-  /// transport with nonblocking sends (a bounded in-flight window per
-  /// destination), reducers keep a wildcard receive posted one frame
-  /// ahead, and frame buffers are recycled through a FramePool instead of
-  /// being reallocated per spill. Disabling falls back to the original
-  /// blocking copy-per-frame path (kept for A/B benchmarking).
-  bool pipelined_shuffle = true;
-
-  /// Upper bound on outstanding nonblocking frame sends per destination
-  /// reducer before the mapper waits on the oldest (>= 1). Two frames give
-  /// classic double buffering; more deepens the pipeline.
+  /// Full partition frames move into the transport with owned nonblocking
+  /// sends (reducers keep a wildcard receive posted one frame ahead, and
+  /// frame buffers recycle through a FramePool). This bounds the sends
+  /// outstanding per destination reducer before the mapper waits on the
+  /// oldest (>= 1). Two frames give classic double buffering; more
+  /// deepens the pipeline.
   std::size_t max_inflight_frames = 4;
-
-  /// Skip the hash-table buffer and realign pairs straight into partition
-  /// frames at MPI_D_Send time. Only taken when no combiner is configured
-  /// and sort_keys/sort_values are off (those require the buffered spill
-  /// path); pairs then cost one serialization instead of a hash insert, a
-  /// value-list append and a spill copy.
-  bool direct_realign = false;
 
   /// Frame buffer recycler shared by the ranks of a job; null selects the
   /// process-wide FramePool::process_pool() (in-process worlds run every

@@ -195,10 +195,11 @@ class MpiD {
   /// lanes, reducers must have drained recv(), the master folds every
   /// rank's per-round Stats into report().round_totals) but instead of
   /// tearing the world down every rank re-arms for another MapReduce
-  /// round: mapper lanes restart at sequence 0 under a fresh incarnation
-  /// (so a resilient reducer distinguishes round N+1 frames from round N
-  /// retransmits), reducer EOS/seal/delivery state clears, and per-rank
-  /// stats() reset to zero. send()/recv() then work again. Throws if the
+  /// round: every rank moves to a fresh data context (so a round-N
+  /// retransmit still in flight can never match a round-N+1 receive),
+  /// mapper lanes restart at sequence 0 under a fresh incarnation,
+  /// reducer EOS/seal/delivery state clears, and per-rank stats() reset
+  /// to zero. send()/recv() then work again. Throws if the
   /// barrier would exceed resident_rounds or the instance is finalized.
   void next_round();
 
@@ -235,10 +236,13 @@ class MpiD {
 
  private:
   /// The SpillEncoder's transport sink: ships one realigned (and possibly
-  /// codec-framed) partition frame over the data communicator via the
-  /// configured path (resilient / pipelined / blocking), accounting
-  /// frames_sent, bytes_sent and flush_wait_ns.
+  /// codec-framed) partition frame over the data communicator, plain or
+  /// resilient, accounting frames_sent, bytes_sent and flush_wait_ns.
   void transport_send(std::size_t partition, std::vector<std::byte> frame);
+  /// Moves one frame into the partition's bounded window of owned
+  /// nonblocking sends, first waiting out the oldest send when the window
+  /// is full (Config::max_inflight_frames).
+  void isend_windowed(std::size_t partition, std::vector<std::byte> frame);
 
   // --- resilient shuffle (Config::resilient_shuffle) ---
   bool resilient() const noexcept { return config_.resilient_shuffle; }
@@ -343,9 +347,15 @@ class MpiD {
   std::vector<std::byte> decode_coded_payload(int unit,
                                               std::vector<std::byte> payload);
 
-  /// Pulls the next frame from the network (decoding it when compression
-  /// is on) and stages it as the delivery frame. Returns false when all
-  /// mappers have signalled end-of-stream.
+  /// The one reception path behind every recv_* flavor: the next frame of
+  /// the round exactly as shipped — this reducer's local coded frames
+  /// first, then the resilient collection or the network (one wildcard
+  /// receive posted ahead). `codec_framed` says whether the bytes still
+  /// need the codec decode. False once every mapper signalled
+  /// end-of-stream.
+  bool next_wire_frame(std::vector<std::byte>& frame, bool& codec_framed);
+  /// Pulls the next frame (decoded) and stages it as the delivery frame.
+  /// Returns false at end of stream.
   bool fetch_delivery_frame();
   /// Advances current_view_ to the next group of the delivery frame,
   /// fetching further frames as needed; false at global end-of-stream.
@@ -364,8 +374,8 @@ class MpiD {
   /// EOS/seal/delivery state (reducer).
   void rearm_for_next_round();
 
-  /// Posts the reducer's one-frame-ahead wildcard receive (pipelined
-  /// shuffle): reverse realignment of frame N overlaps reception of N+1.
+  /// Posts the reducer's one-frame-ahead wildcard receive: reverse
+  /// realignment of frame N overlaps reception of N+1.
   void post_prefetch();
   /// Waits out the in-flight send window of one partition.
   void drain_inflight(std::size_t partition);
@@ -377,17 +387,15 @@ class MpiD {
   Role role_;
   Stats stats_;
   std::shared_ptr<common::FramePool> pool_;
-  bool direct_realign_ = false;  // resolved from config at init
 
   // Mapper state: the shared shuffle pipeline (src/shuffle), wired to
   // this rank's transport through transport_send(). The buffer holds the
-  // combine stage (flat table or legacy node-based map per
-  // Config::flat_combine_table); the encoder owns partitioning,
-  // spill-time combining and frame flush policy; the compressor is the
-  // optional codec stage (self-describing framing: every wire frame
-  // decodes, skips use the stored escape).
+  // combine stage; the encoder owns partitioning, spill-time combining
+  // and frame flush policy; the compressor is the optional codec stage
+  // (self-describing framing: every wire frame decodes, skips use the
+  // stored escape).
   std::optional<shuffle::CombineRunner> combine_runner_;
-  std::optional<shuffle::MapOutputBuffer> map_buffer_;  // empty: direct path
+  std::optional<shuffle::MapOutputBuffer> map_buffer_;
   std::optional<shuffle::FrameCompressor> compressor_;
   std::optional<shuffle::SpillEncoder> encoder_;
   /// The rank's worker pool (worker_pool()), created on first use so

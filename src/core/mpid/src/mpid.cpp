@@ -102,12 +102,6 @@ MpiD::MpiD(minimpi::Comm& comm, Config config)
   if (config_.coded_replication > 1) {
     shuffle::CodedPlacement::validate(
         config_.coded_replication, static_cast<std::size_t>(config_.reducers));
-    if (config_.direct_realign) {
-      throw std::invalid_argument(
-          "MpiD: coded_replication > 1 is incompatible with direct_realign — "
-          "replica frame alignment needs the buffered spill pipeline; "
-          "disable direct_realign or set coded_replication = 1");
-    }
   }
   pool_ = config_.frame_pool ? config_.frame_pool
                              : common::FramePool::process_pool();
@@ -118,10 +112,6 @@ MpiD::MpiD(minimpi::Comm& comm, Config config)
     config_.memory_budget =
         std::make_shared<store::MemoryBudget>(config_.memory_budget_bytes);
   }
-  // Direct realignment requires the buffered spill path to be semantics-
-  // free: no combiner to batch for, no sorted runs to build.
-  direct_realign_ = config_.direct_realign && !config_.combiner &&
-                    !config_.sort_keys && !config_.sort_values;
   const auto rank = comm.rank();
   if (rank == 0) {
     role_ = Role::kMaster;
@@ -136,14 +126,11 @@ MpiD::MpiD(minimpi::Comm& comm, Config config)
     // -> transport_send(). MPI-D realigns into bounded KvList frames and
     // ships each one the moment it fills.
     combine_runner_.emplace(config_.combiner, &stats_);
-    if (!direct_realign_) {
-      // Budgeted mappers drain early under pressure instead of spilling to
-      // disk: map output's slow tier IS the transport (frames ship the
-      // moment the buffer realigns), so pressure just tightens the spill
-      // cadence.
-      map_buffer_.emplace(config_, &*combine_runner_, &stats_,
-                          memory_budget());
-    }
+    // Budgeted mappers drain early under pressure instead of spilling to
+    // disk: map output's slow tier IS the transport (frames ship the
+    // moment the buffer realigns), so pressure just tightens the spill
+    // cadence.
+    map_buffer_.emplace(config_, &*combine_runner_, &stats_, memory_budget());
     if (compression_on()) {
       compressor_.emplace(config_, shuffle::WireFraming::kSelfDescribing,
                           common::FrameKind::kKvList, pool_.get(), &stats_);
@@ -160,11 +147,7 @@ MpiD::MpiD(minimpi::Comm& comm, Config config)
     // compressor_ moves to the aggregator in node_agg_finalize()).
     setup.compressor =
         (compressor_ && !node_agg()) ? &*compressor_ : nullptr;
-    // Only the pipelined/resilient paths re-arm flushed writers from the
-    // pool; the blocking A/B path restarts each frame empty, as it always
-    // has.
-    setup.pool = (config_.pipelined_shuffle || resilient()) ? pool_.get()
-                                                            : nullptr;
+    setup.pool = pool_.get();
     setup.counters = &stats_;
     if (node_agg()) {
       setup.sink = [this](std::uint32_t /*partition: re-derived from the
@@ -259,14 +242,6 @@ void MpiD::send(std::string_view key, std::string_view value) {
         "— run the task's sub-splits through run_map_coded instead");
   }
   ++stats_.pairs_sent;
-
-  if (direct_realign_) {
-    // Realign straight into the partition frame: one serialization per
-    // pair instead of hash insert + value-list append + spill copy.
-    encoder_->emit_direct(key, value);
-    return;
-  }
-
   map_buffer_->append(key, value);
   // "When the hash table buffer exceeds a particular size" — drain it
   // through the shared pipeline (partition select, spill-time combine,
@@ -336,28 +311,29 @@ void MpiD::drain_inflight(std::size_t partition) {
 }
 
 void MpiD::transport_send(std::size_t partition, std::vector<std::byte> frame) {
+  const std::uint64_t start = now_ns();
+  if (resilient()) {
+    send_frame_resilient(partition, std::move(frame));
+  } else {
+    stats_.bytes_sent += frame.size();
+    isend_windowed(partition, std::move(frame));
+  }
+  ++stats_.frames_sent;
+  stats_.flush_wait_ns += now_ns() - start;
+}
+
+void MpiD::isend_windowed(std::size_t partition, std::vector<std::byte> frame) {
   // The destination is derived from the partition number automatically —
   // the mapper never names a rank (Section III, third challenge).
   const minimpi::Rank dst =
       1 + config_.mappers + static_cast<minimpi::Rank>(partition);
-  const std::uint64_t start = now_ns();
-  if (resilient()) {
-    send_frame_resilient(partition, std::move(frame));
-  } else if (config_.pipelined_shuffle) {
-    stats_.bytes_sent += frame.size();
-    auto& window = inflight_[partition];
-    while (window.size() >= config_.max_inflight_frames) {
-      window.front().wait();
-      window.pop_front();
-    }
-    window.push_back(
-        data_comm_.isend_bytes_owned(dst, kDataTag, std::move(frame)));
-  } else {
-    data_comm_.send_bytes(dst, kDataTag, frame);
-    stats_.bytes_sent += frame.size();
+  auto& window = inflight_[partition];
+  while (window.size() >= config_.max_inflight_frames) {
+    window.front().wait();
+    window.pop_front();
   }
-  ++stats_.frames_sent;
-  stats_.flush_wait_ns += now_ns() - start;
+  window.push_back(
+      data_comm_.isend_bytes_owned(dst, kDataTag, std::move(frame)));
 }
 
 void MpiD::post_prefetch() {
@@ -367,62 +343,61 @@ void MpiD::post_prefetch() {
   prefetch_posted_ = true;
 }
 
-bool MpiD::fetch_delivery_frame() {
-  std::vector<std::byte> frame;
-  bool raw = false;  // already decoded (local or coded) — skip the codec
+bool MpiD::next_wire_frame(std::vector<std::byte>& frame, bool& codec_framed) {
   if (coded_local_cursor_ < coded_local_.size()) {
     // Local delivery first: this reducer's own partition of its replica
     // map work never crossed the fabric. Copied, not moved —
     // restart_reducer() rewinds the cursor and re-delivers.
     frame = coded_local_[coded_local_cursor_++];
-    raw = true;
-  } else if (resilient()) {
+    codec_framed = false;
+    return true;
+  }
+  if (resilient()) {
     resilient_collect();
     if (collected_.empty()) return false;
     // frames_received/bytes_received were counted at collection time.
-    raw = !collected_.front().codec_framed;
+    codec_framed = collected_.front().codec_framed;
     frame = std::move(collected_.front().bytes);
     collected_.pop_front();
-  } else {
-    for (;;) {
-      if (eos_received_ == eos_target()) return false;
-      minimpi::Status st;
-      if (config_.pipelined_shuffle) {
-        if (!prefetch_posted_) post_prefetch();
-        st = prefetch_req_.wait();
-        prefetch_posted_ = false;
-        frame = std::move(prefetch_buf_);
-        // Keep exactly one wildcard receive posted ahead while more
-        // traffic is expected, so reverse realignment of this frame
-        // overlaps the arrival of the next. Never leave one posted once
-        // every mapper has signalled end-of-stream: the finalize ack must
-        // not be stolen.
-        if (st.tag == kEosTag) ++eos_received_;
-        if (eos_received_ < eos_target()) post_prefetch();
-        if (st.tag == kEosTag) continue;
-      } else {
-        st = data_comm_.recv_bytes(minimpi::kAnySource, minimpi::kAnyTag,
-                                   frame);
-        if (st.tag == kEosTag) {
-          ++eos_received_;
-          continue;
-        }
-      }
-      if (st.tag != kDataTag) {
-        throw std::runtime_error("MpiD: unexpected tag on data channel");
-      }
-      ++stats_.frames_received;
-      stats_.bytes_received += frame.size();
-      if (is_coded_source(st.source - 1)) {
-        frame = decode_coded_payload(unit_of_mapper(st.source - 1),
-                                     std::move(frame));
-        if (frame.empty()) continue;  // my stream had drained by that round
-        raw = true;
-      }
-      break;
-    }
+    return true;
   }
-  if (!raw && compression_on()) frame = decoder_->decode(std::move(frame));
+  for (;;) {
+    if (eos_received_ == eos_target()) return false;
+    if (!prefetch_posted_) post_prefetch();
+    const minimpi::Status st = prefetch_req_.wait();
+    prefetch_posted_ = false;
+    frame = std::move(prefetch_buf_);
+    // Keep exactly one wildcard receive posted ahead while more traffic is
+    // expected, so reverse realignment of this frame overlaps the arrival
+    // of the next. Never leave one posted once every mapper has signalled
+    // end-of-stream: the finalize ack must not be stolen.
+    if (st.tag == kEosTag) ++eos_received_;
+    if (eos_received_ < eos_target()) post_prefetch();
+    if (st.tag == kEosTag) continue;
+    if (st.tag != kDataTag) {
+      throw std::runtime_error("MpiD: unexpected tag on data channel");
+    }
+    ++stats_.frames_received;
+    stats_.bytes_received += frame.size();
+    if (is_coded_source(st.source - 1)) {
+      frame = decode_coded_payload(unit_of_mapper(st.source - 1),
+                                   std::move(frame));
+      if (frame.empty()) continue;  // my stream had drained by that round
+      codec_framed = false;
+      return true;
+    }
+    // Self-describing framing: with compression on, every uncoded frame on
+    // the wire is a codec frame.
+    codec_framed = compression_on();
+    return true;
+  }
+}
+
+bool MpiD::fetch_delivery_frame() {
+  std::vector<std::byte> frame;
+  bool codec_framed = false;
+  if (!next_wire_frame(frame, codec_framed)) return false;
+  if (codec_framed) frame = decoder_->decode(std::move(frame));
   delivery_frame_ = std::move(frame);
   // The reader is (re)constructed only after the move above, so its span
   // aliases the frame's final storage.
@@ -477,44 +452,12 @@ bool MpiD::recv_raw_frame(std::vector<std::byte>& frame) {
     throw std::logic_error(
         "MpiD: recv_raw_frame cannot be mixed with recv()/recv_group()");
   }
-  if (coded_local_cursor_ < coded_local_.size()) {
-    frame = coded_local_[coded_local_cursor_++];
-    return true;
-  }
-  if (resilient()) {
-    resilient_collect();
-    if (collected_.empty()) return false;
-    const bool codec_framed = collected_.front().codec_framed;
-    frame = std::move(collected_.front().bytes);
-    collected_.pop_front();
-    // Compressed payloads decode here, so SortedFrameMerger always sees
-    // the raw frame bytes — merge order and output are unchanged. (Coded
-    // entries staged fully decoded.)
-    if (codec_framed) frame = decoder_->decode(std::move(frame));
-    return true;
-  }
-  for (;;) {
-    if (eos_received_ == eos_target()) return false;
-    const minimpi::Status st =
-        data_comm_.recv_bytes(minimpi::kAnySource, minimpi::kAnyTag, frame);
-    if (st.tag == kEosTag) {
-      ++eos_received_;
-      continue;
-    }
-    if (st.tag != kDataTag) {
-      throw std::runtime_error("MpiD: unexpected tag on data channel");
-    }
-    ++stats_.frames_received;
-    stats_.bytes_received += frame.size();
-    if (is_coded_source(st.source - 1)) {
-      frame = decode_coded_payload(unit_of_mapper(st.source - 1),
-                                   std::move(frame));
-      if (frame.empty()) continue;
-      return true;
-    }
-    if (compression_on()) frame = decoder_->decode(std::move(frame));
-    return true;
-  }
+  bool codec_framed = false;
+  if (!next_wire_frame(frame, codec_framed)) return false;
+  // Compressed payloads decode here, so SortedFrameMerger always sees the
+  // raw frame bytes — merge order and output are unchanged.
+  if (codec_framed) frame = decoder_->decode(std::move(frame));
+  return true;
 }
 
 bool MpiD::recv_wire_frame(std::vector<std::byte>& frame, bool& codec_framed) {
@@ -523,45 +466,8 @@ bool MpiD::recv_wire_frame(std::vector<std::byte>& frame, bool& codec_framed) {
     throw std::logic_error(
         "MpiD: recv_wire_frame cannot be mixed with recv()/recv_group()");
   }
-  // Self-describing framing: with compression on, every uncoded frame on
-  // the wire is a codec frame and the caller (SegmentMerger::prepare) owns
-  // the decode. Local and coded frames hand over raw (already decoded).
-  if (coded_local_cursor_ < coded_local_.size()) {
-    frame = coded_local_[coded_local_cursor_++];
-    codec_framed = false;
-    return true;
-  }
-  if (resilient()) {
-    resilient_collect();
-    if (collected_.empty()) return false;
-    codec_framed = collected_.front().codec_framed;
-    frame = std::move(collected_.front().bytes);
-    collected_.pop_front();
-    return true;
-  }
-  for (;;) {
-    if (eos_received_ == eos_target()) return false;
-    const minimpi::Status st =
-        data_comm_.recv_bytes(minimpi::kAnySource, minimpi::kAnyTag, frame);
-    if (st.tag == kEosTag) {
-      ++eos_received_;
-      continue;
-    }
-    if (st.tag != kDataTag) {
-      throw std::runtime_error("MpiD: unexpected tag on data channel");
-    }
-    ++stats_.frames_received;
-    stats_.bytes_received += frame.size();
-    if (is_coded_source(st.source - 1)) {
-      frame = decode_coded_payload(unit_of_mapper(st.source - 1),
-                                   std::move(frame));
-      if (frame.empty()) continue;
-      codec_framed = false;
-      return true;
-    }
-    codec_framed = compression_on();
-    return true;
-  }
+  // The caller (SegmentMerger::prepare) owns the codec decode.
+  return next_wire_frame(frame, codec_framed);
 }
 
 bool MpiD::recv_group(std::string& key, std::vector<std::string>& values) {
@@ -650,7 +556,7 @@ void MpiD::round_barrier(bool final) {
           break;
         }
       } else {
-        if (map_buffer_) encoder_->spill(*map_buffer_);
+        encoder_->spill(*map_buffer_);
         encoder_->flush_all();
         if (node_agg()) {
           node_agg_finalize();
@@ -719,9 +625,17 @@ void MpiD::round_barrier(bool final) {
 
 void MpiD::rearm_for_next_round() {
   stats_ = Stats{};
+  // Each round gets its own message context, so a stale round-N frame (a
+  // retransmit or duplicate still in flight at the barrier) can never
+  // match a round-N+1 receive. Every rank re-dups once per barrier, and
+  // dup() is deterministic, so all ranks agree on the new context.
+  data_comm_ = data_comm_.dup();
+  if (resilient() && injector() != nullptr) {
+    injector()->add_transport_scope(data_comm_.context(), kDataTag);
+  }
   switch (role_) {
     case Role::kMapper: {
-      if (map_buffer_) map_buffer_->clear();
+      map_buffer_->clear();
       node_staged_.clear();
       // The barrier flushed every pending frame, so reset() only clears
       // bookkeeping; the writers keep their allocations for round N+1.
@@ -1171,15 +1085,7 @@ void MpiD::send_frame_resilient(std::size_t partition,
   // re-pull the whole lane, a NACK any single frame.
   lane.retained.push_back(framed);
   stats_.bytes_sent += framed.size();
-  const minimpi::Rank dst =
-      1 + config_.mappers + static_cast<minimpi::Rank>(partition);
-  auto& window = inflight_[partition];
-  while (window.size() >= config_.max_inflight_frames) {
-    window.front().wait();
-    window.pop_front();
-  }
-  window.push_back(
-      data_comm_.isend_bytes_owned(dst, kDataTag, std::move(framed)));
+  isend_windowed(partition, std::move(framed));
 }
 
 void MpiD::send_seal(int reducer) {
@@ -1460,7 +1366,7 @@ void MpiD::restart_mapper() {
   ++attempt_;
   ++incarnation_;
   ++stats_.task_restarts;
-  if (map_buffer_) map_buffer_->clear();
+  map_buffer_->clear();
   node_staged_.clear();  // staged node-aggregation frames of the dead attempt
   coded_streams_.clear();  // staged coded matrix of the dead attempt
   for (std::size_t p = 0; p < inflight_.size(); ++p) drain_inflight(p);

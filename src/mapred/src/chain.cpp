@@ -3,23 +3,18 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
-#include <unordered_map>
 
 #include "mpid/core/mpid.hpp"
-#include "mpid/fault/fault.hpp"
 #include "mpid/minimpi/world.hpp"
-#include "mpid/shuffle/parallel.hpp"
 #include "mpid/shuffle/partition.hpp"
+#include "tasks.hpp"
 
 namespace mpid::mapred {
 
 namespace {
-
-/// Safety cap on task re-executions (same contract as JobRunner).
-constexpr int kMaxTaskAttempts = 16;
 
 std::uint64_t kv_bytes(const KvPair& p) noexcept {
   return static_cast<std::uint64_t>(p.first.size() + p.second.size());
@@ -267,208 +262,168 @@ using chain_detail::PlanCursor;
 /// mapper rank strictly after the next round barrier (the barrier's
 /// done/ack handshake is the happens-before edge).
 struct ChainState {
+  ChainState(const ChainJob& job, int partitions, const core::Config& config);
+
+  /// Drops the per-round slots past the `rounds` that ran.
+  void trim(std::size_t rounds);
+
   std::mutex mu;
   std::vector<RoundCounters> round_counters;  // by global round - 1
   std::vector<std::uint64_t> resident_pairs;  // by global round - 1
   std::vector<std::uint64_t> resident_bytes;
-  std::vector<ResidentPartition> resident;    // by partition
+  /// What the resident partitions charge: the job's shared budget when one
+  /// exists, a chain-local arbiter when only a byte cap was given, else
+  /// nothing. Declared before `resident`, so it outlives their charges.
+  std::shared_ptr<store::MemoryBudget> resident_budget;
+  std::vector<ResidentPartition> resident;  // by partition
   const StaticTables* statics = nullptr;
-  store::MemoryBudget* resident_budget = nullptr;
   std::string spill_dir;
 };
 
-/// Runs the map side of one round on mapper rank `p`.
-///  * round 1 (stage 0): ingest the external source through job.ingest;
-///  * later rounds: stream this partition's resident pairs through the
-///    current stage's map.
-/// Chain accounting (ingest_bytes / resident_*) accumulates into `acc`;
-/// `reingest` marks the unchained ablation, where resident pairs count
-/// as re-ingested external bytes instead of resident reads.
-void run_map_side(core::MpiD& mpid, const ChainJob& job,
-                  const PlanCursor& cur, int global_round, int p,
-                  RecordSource* source, const ResidentPartition* resident,
-                  const StaticTables* statics, bool reingest,
-                  shuffle::ShuffleCounters& acc) {
-  const core::Config& config = job.tuning;
-  fault::FaultInjector* inj =
-      config.resilient_shuffle ? config.fault_injector.get() : nullptr;
-  const bool ingest_round = global_round == 1 && source != nullptr;
-
-  if (inj) {
-    const auto lag =
-        inj->straggle_delay(fault::TaskKind::kMap, p, mpid.attempt());
-    if (lag.count() > 0) std::this_thread::sleep_for(lag);
-  }
-
-  if (ingest_round) {
-    MapContext ctx(
-        [&](std::string_view k, std::string_view v) { mpid.send(k, v); }, p);
-    if (!inj && config.map_threads <= 1) {
-      // Stream straight through; nothing materializes.
-      while (auto record = (*source)()) {
-        acc.ingest_bytes += record->size();
-        job.ingest(*record, ctx);
-      }
-      return;
-    }
-    // Crash retries and worker-pool chunks both need a re-readable,
-    // random-access split (Hadoop's durable-split assumption).
-    std::vector<std::string> split;
-    while (auto record = (*source)()) {
-      acc.ingest_bytes += record->size();
-      split.push_back(std::move(*record));
-    }
-    if (!inj && config.map_threads > 1) {
-      const std::size_t chunks =
-          shuffle::resolve_map_chunks(config, split.size());
-      mpid.run_map_parallel(
-          chunks,
-          [&](std::size_t chunk, const shuffle::ParallelMapper::EmitFn& emit) {
-            MapContext chunk_ctx(
-                [&emit](std::string_view k, std::string_view v) {
-                  emit(k, v);
-                },
-                p);
-            const std::size_t lo = chunk * split.size() / chunks;
-            const std::size_t hi = (chunk + 1) * split.size() / chunks;
-            for (std::size_t i = lo; i < hi; ++i) {
-              job.ingest(split[i], chunk_ctx);
-            }
-          });
-      return;
-    }
-    for (int safety = 0;; ++safety) {
-      try {
-        const auto crash_at =
-            inj->crash_tick(fault::TaskKind::kMap, p, mpid.attempt());
-        std::uint64_t ticks = 0;
-        for (const auto& record : split) {
-          if (crash_at && ++ticks >= *crash_at) {
-            inj->note(fault::Kind::kTaskCrash,
-                      "map:" + std::to_string(p) + "#" +
-                          std::to_string(mpid.attempt()));
-            throw fault::TaskCrash(fault::TaskKind::kMap, p, mpid.attempt());
-          }
-          job.ingest(record, ctx);
-        }
-        return;
-      } catch (const fault::TaskCrash&) {
-        if (safety >= kMaxTaskAttempts) throw;
-        mpid.restart_mapper();
-      }
-    }
-  }
-
-  // Resident round: this partition's sealed pairs are the map input, in
-  // place — no re-ingest, no DFS round trip.
-  const ChainStage& stage = job.stages[cur.stage];
-  if (reingest) {
-    acc.ingest_bytes += resident->byte_count();
-  } else {
-    acc.resident_pairs_in += resident->pair_count();
-    acc.resident_bytes_in += resident->byte_count();
-  }
-  ChainMapContext ctx(
-      [&](std::string_view k, std::string_view v) { mpid.send(k, v); },
-      statics, p, global_round);
-  if (!inj && config.map_threads <= 1) {
-    resident->for_each([&](std::string_view k, std::string_view v) {
-      stage.map(k, v, ctx);
-    });
-    return;
-  }
-  // Materialized path: crash retries re-run from the start; worker-pool
-  // chunks need random access. The seal order is deterministic, so the
-  // chunk boundaries — and therefore the shipped bytes — are identical
-  // at every thread count.
-  const KvVec pairs = resident->load();
-  if (!inj && config.map_threads > 1) {
-    const std::size_t chunks =
-        shuffle::resolve_map_chunks(config, pairs.size());
-    mpid.run_map_parallel(
-        chunks,
-        [&](std::size_t chunk, const shuffle::ParallelMapper::EmitFn& emit) {
-          ChainMapContext chunk_ctx(
-              [&emit](std::string_view k, std::string_view v) {
-                emit(k, v);
-              },
-              statics, p, global_round);
-          const std::size_t lo = chunk * pairs.size() / chunks;
-          const std::size_t hi = (chunk + 1) * pairs.size() / chunks;
-          for (std::size_t i = lo; i < hi; ++i) {
-            stage.map(pairs[i].first, pairs[i].second, chunk_ctx);
-          }
-        });
-    return;
-  }
-  for (int safety = 0;; ++safety) {
-    try {
-      const auto crash_at =
-          inj->crash_tick(fault::TaskKind::kMap, p, mpid.attempt());
-      std::uint64_t ticks = 0;
-      for (const auto& [k, v] : pairs) {
-        if (crash_at && ++ticks >= *crash_at) {
-          inj->note(fault::Kind::kTaskCrash,
-                    "map:" + std::to_string(p) + "#" +
-                        std::to_string(mpid.attempt()));
-          throw fault::TaskCrash(fault::TaskKind::kMap, p, mpid.attempt());
-        }
-        stage.map(k, v, ctx);
-      }
-      return;
-    } catch (const fault::TaskCrash&) {
-      if (safety >= kMaxTaskAttempts) throw;
-      mpid.restart_mapper();
-    }
+ChainState::ChainState(const ChainJob& job, int partitions,
+                       const core::Config& config)
+    : resident_budget(config.memory_budget), spill_dir(config.spill_dir) {
+  const auto rounds =
+      static_cast<std::size_t>(chain_detail::total_max_rounds(job));
+  round_counters.resize(rounds);
+  resident_pairs.assign(rounds, 0);
+  resident_bytes.assign(rounds, 0);
+  resident.resize(static_cast<std::size_t>(partitions));
+  if (!resident_budget && config.memory_budget_bytes > 0) {
+    resident_budget =
+        std::make_shared<store::MemoryBudget>(config.memory_budget_bytes);
   }
 }
 
-/// Collects one round's shuffle on reducer rank `p` into per-key groups
-/// (with restart/re-pull recovery), then runs the stage reduce in sorted
-/// key order. Returns the context holding the emitted next-resident
-/// pairs and the round counters.
-ChainReduceContext run_reduce_side(core::MpiD& mpid, const ChainJob& job,
-                                   const PlanCursor& cur, int global_round,
-                                   int p, const StaticTables* statics) {
-  const core::Config& config = job.tuning;
-  fault::FaultInjector* inj =
-      config.resilient_shuffle ? config.fault_injector.get() : nullptr;
-  if (inj) {
-    const auto lag =
-        inj->straggle_delay(fault::TaskKind::kReduce, p, mpid.attempt());
-    if (lag.count() > 0) std::this_thread::sleep_for(lag);
-  }
-  std::unordered_map<std::string, std::vector<std::string>> groups;
-  for (int safety = 0;; ++safety) {
-    try {
-      std::string key;
-      std::vector<std::string> values;
-      while (mpid.recv_group(key, values)) {
-        auto& list = groups[key];
-        std::move(values.begin(), values.end(), std::back_inserter(list));
-        values.clear();
-      }
-      break;
-    } catch (const fault::TaskCrash&) {
-      if (safety >= kMaxTaskAttempts) throw;
-      mpid.restart_reducer();
-      groups.clear();
-    }
-  }
+void ChainState::trim(std::size_t rounds) {
+  round_counters.resize(rounds);
+  resident_pairs.resize(rounds);
+  resident_bytes.resize(rounds);
+}
 
+/// Runs the map side of one round on mapper rank `p`. Round 1 maps the
+/// external `source` through job.ingest (`source` is null on later
+/// rounds); later rounds map this partition's resident pairs through the
+/// current stage's map. Chain accounting accumulates into `acc`;
+/// `reingest` marks the unchained ablation, where resident pairs count as
+/// re-ingested external bytes instead of resident reads.
+void run_map_side(core::MpiD& mpid, const ChainJob& job,
+                  const PlanCursor& cur, int round, int p,
+                  RecordSource* source, const ResidentPartition& resident,
+                  const StaticTables* statics, bool reingest,
+                  shuffle::ShuffleCounters& acc) {
+  if (source != nullptr) {
+    std::vector<std::string> split;
+    detail::run_map_task(mpid, job.tuning,
+                         detail::source_map_task(*source, job.ingest, p, split,
+                                                 &acc.ingest_bytes));
+    return;
+  }
+  // Resident round: this partition's sealed pairs are the map input, in
+  // place — no re-ingest, no DFS round trip.
+  if (reingest) {
+    acc.ingest_bytes += resident.byte_count();
+  } else {
+    acc.resident_pairs_in += resident.pair_count();
+    acc.resident_bytes_in += resident.byte_count();
+  }
   const ChainStage& stage = job.stages[cur.stage];
-  ChainReduceContext ctx(statics, p, global_round);
+  KvVec pairs;
+  detail::MapTask task;
+  task.stream = [&](const detail::Emit& emit) {
+    ChainMapContext ctx(emit, statics, p, round);
+    resident.for_each([&](std::string_view k, std::string_view v) {
+      stage.map(k, v, ctx);
+    });
+  };
+  // The seal order is deterministic, so the chunk boundaries — and the
+  // shipped bytes — are identical at every thread count.
+  task.load = [&] {
+    pairs = resident.load();
+    return pairs.size();
+  };
+  task.map_range = [&](std::size_t lo, std::size_t hi,
+                       const detail::Emit& emit,
+                       const std::function<void()>& tick) {
+    ChainMapContext ctx(emit, statics, p, round);
+    for (std::size_t i = lo; i < hi; ++i) {
+      tick();
+      stage.map(pairs[i].first, pairs[i].second, ctx);
+    }
+  };
+  detail::run_map_task(mpid, job.tuning, task);
+}
+
+/// Collects one round's shuffle on reducer rank `p`, then runs the stage
+/// reduce in sorted key order. Returns the context holding the emitted
+/// next-resident pairs and the round counters.
+ChainReduceContext run_reduce_side(core::MpiD& mpid, const ChainJob& job,
+                                   const PlanCursor& cur, int round, int p,
+                                   const StaticTables* statics) {
+  detail::ReduceTask task(mpid, job.tuning, /*merge=*/false);
+  task.collect();
+  const ChainStage& stage = job.stages[cur.stage];
+  ChainReduceContext ctx(statics, p, round);
   // Chains always reduce in sorted key order: the sealed partition must
   // not depend on hash-table iteration order.
-  std::vector<const std::string*> keys;
-  keys.reserve(groups.size());
-  for (const auto& [k, vs] : groups) keys.push_back(&k);
-  std::sort(keys.begin(), keys.end(),
-            [](const auto* a, const auto* b) { return *a < *b; });
-  for (const auto* k : keys) {
-    stage.reduce(*k, groups.at(*k), ctx);
-  }
+  task.reduce(/*sorted=*/true,
+              [&](std::string_view key, std::vector<std::string>& values) {
+                stage.reduce(key, values, ctx);
+              });
   return ctx;
+}
+
+/// One rank's share of one round: a mapper maps; a reducer collects and
+/// reduces, seals its next resident partition and folds the round's
+/// counters. `live` false marks the empty teardown round a converged
+/// chain ends with — the mappers still seal their lanes at the barrier,
+/// so the reducers drain the empty shuffle, but nothing maps or seals.
+/// `chained` false is the unchained ablation (see run_map_side).
+void run_round(core::MpiD& mpid, ChainState& state, const ChainJob& job,
+               const PlanCursor& cur, int round,
+               std::vector<RecordSource>& inputs, bool live, bool chained) {
+  switch (mpid.role()) {
+    case core::Role::kMapper: {
+      if (!live) return;
+      const int p = mpid.mapper_index();
+      const auto slot = static_cast<std::size_t>(p);
+      shuffle::ShuffleCounters acc;
+      run_map_side(mpid, job, cur, round, p,
+                   round == 1 ? &inputs[slot] : nullptr, state.resident[slot],
+                   state.statics, /*reingest=*/!chained, acc);
+      mpid.fold_counters(acc);
+      return;
+    }
+    case core::Role::kReducer: {
+      const int p = mpid.reducer_index();
+      ChainReduceContext ctx =
+          run_reduce_side(mpid, job, cur, round, p, state.statics);
+      if (!live) return;
+      auto& part = state.resident[static_cast<std::size_t>(p)];
+      part.seal(ctx.take_emitted(), state.resident_budget.get(),
+                state.spill_dir);
+      shuffle::ShuffleCounters acc;
+      if (state.statics != nullptr) {
+        // Pinned once; the unchained ablation realigns the static channel
+        // again for every later round.
+        if (round == 1) {
+          acc.static_bytes_pinned = state.statics->partition_bytes(p);
+        } else if (!chained) {
+          acc.static_bytes_reshuffled = state.statics->partition_bytes(p);
+        }
+      }
+      if (part.spilled()) acc.resident_bytes_spilled = part.byte_count();
+      mpid.fold_counters(acc);
+      const auto r = static_cast<std::size_t>(round - 1);
+      std::lock_guard lock(state.mu);
+      state.round_counters[r].merge(ctx.counters());
+      state.resident_pairs[r] += part.pair_count();
+      state.resident_bytes[r] += part.byte_count();
+      return;
+    }
+    case core::Role::kMaster:
+      return;
+  }
 }
 
 /// Reads the aggregated counters of `global_round` and advances the plan
@@ -541,24 +496,7 @@ ChainResult JobChain::run(const ChainJob& job,
       static_cast<std::size_t>(chain_detail::total_max_rounds(job)) + 1;
   config.validate();
 
-  const int total_rounds = chain_detail::total_max_rounds(job);
-  ChainState state;
-  state.round_counters.resize(static_cast<std::size_t>(total_rounds));
-  state.resident_pairs.assign(static_cast<std::size_t>(total_rounds), 0);
-  state.resident_bytes.assign(static_cast<std::size_t>(total_rounds), 0);
-  state.resident.resize(static_cast<std::size_t>(partitions_));
-  state.spill_dir = config.spill_dir;
-
-  // Resident partitions charge the job's shared budget when one exists,
-  // a chain-local arbiter when only a byte cap was given, and stay
-  // unbudgeted otherwise.
-  std::shared_ptr<store::MemoryBudget> resident_budget = config.memory_budget;
-  if (!resident_budget && config.memory_budget_bytes > 0) {
-    resident_budget =
-        std::make_shared<store::MemoryBudget>(config.memory_budget_bytes);
-  }
-  state.resident_budget = resident_budget.get();
-
+  ChainState state(job, partitions_, config);
   // The static channel: realigned once, before the world starts, pinned
   // for every round. (The unchained ablation rebuilds this per round —
   // that delta is the static_bytes_reshuffled counter.)
@@ -567,87 +505,18 @@ ChainResult JobChain::run(const ChainJob& job,
   state.statics = job.static_input.empty() ? nullptr : &statics;
 
   core::JobReport report;
-  std::mutex report_mu;
-
   minimpi::run_world(config.world_size(), [&](minimpi::Comm& comm) {
     core::MpiD mpid(comm, config);
     PlanCursor cur;
-    int round = 1;
     bool live = true;  // false: the next barrier is the empty teardown
-    switch (mpid.role()) {
-      case core::Role::kMapper: {
-        const int p = mpid.mapper_index();
-        while (true) {
-          if (live) {
-            shuffle::ShuffleCounters acc;
-            run_map_side(mpid, job, cur, round, p,
-                         round == 1 ? &inputs[static_cast<std::size_t>(p)]
-                                    : nullptr,
-                         &state.resident[static_cast<std::size_t>(p)],
-                         state.statics, /*reingest=*/false, acc);
-            mpid.fold_counters(acc);
-          }
-          if (!live || chain_detail::statically_last(job, cur)) {
-            mpid.finalize();
-            break;
-          }
-          mpid.next_round();
-          live = decide_next(state, job, cur, round);
-          ++round;
-        }
-        break;
-      }
-      case core::Role::kReducer: {
-        const int p = mpid.reducer_index();
-        while (true) {
-          // Even the teardown round must drain the (empty) shuffle: the
-          // mappers still seal their lanes with EOS markers.
-          ChainReduceContext ctx =
-              run_reduce_side(mpid, job, cur, round, p, state.statics);
-          if (live) {
-            auto& part = state.resident[static_cast<std::size_t>(p)];
-            part.seal(ctx.take_emitted(), state.resident_budget,
-                      state.spill_dir);
-            shuffle::ShuffleCounters acc;
-            if (round == 1 && state.statics) {
-              acc.static_bytes_pinned = statics.partition_bytes(p);
-            }
-            if (part.spilled()) acc.resident_bytes_spilled = part.byte_count();
-            mpid.fold_counters(acc);
-            std::lock_guard lock(state.mu);
-            auto& rc =
-                state.round_counters[static_cast<std::size_t>(round - 1)];
-            rc.merge(ctx.counters());
-            state.resident_pairs[static_cast<std::size_t>(round - 1)] +=
-                part.pair_count();
-            state.resident_bytes[static_cast<std::size_t>(round - 1)] +=
-                part.byte_count();
-          }
-          if (!live || chain_detail::statically_last(job, cur)) {
-            mpid.finalize();
-            break;
-          }
-          mpid.next_round();
-          live = decide_next(state, job, cur, round);
-          ++round;
-        }
-        break;
-      }
-      case core::Role::kMaster: {
-        while (true) {
-          if (!live || chain_detail::statically_last(job, cur)) {
-            mpid.finalize();
-            break;
-          }
-          mpid.next_round();
-          live = decide_next(state, job, cur, round);
-          ++round;
-        }
-        std::lock_guard lock(report_mu);
-        report = mpid.report();
-        break;
-      }
+    for (int round = 1;; ++round) {
+      run_round(mpid, state, job, cur, round, inputs, live, /*chained=*/true);
+      if (!live || chain_detail::statically_last(job, cur)) break;
+      mpid.next_round();
+      live = decide_next(state, job, cur, round);
     }
+    mpid.finalize();
+    if (mpid.role() == core::Role::kMaster) report = mpid.report();
   });
 
   // Trim counter slots of rounds that never ran (early convergence).
@@ -658,10 +527,7 @@ ChainResult JobChain::run(const ChainJob& job,
              job, cur, state.round_counters[ran - 1])) {
     ++ran;
   }
-  state.round_counters.resize(ran);
-  state.resident_pairs.resize(ran);
-  state.resident_bytes.resize(ran);
-
+  state.trim(ran);
   return assemble_result(state, job, std::move(report));
 }
 
@@ -687,20 +553,7 @@ ChainResult JobChain::run_unchained(const ChainJob& job,
   config.resident_rounds = 1;  // every round is a fresh one-shot world
   config.validate();
 
-  const int total_rounds = chain_detail::total_max_rounds(job);
-  ChainState state;
-  state.round_counters.resize(static_cast<std::size_t>(total_rounds));
-  state.resident_pairs.assign(static_cast<std::size_t>(total_rounds), 0);
-  state.resident_bytes.assign(static_cast<std::size_t>(total_rounds), 0);
-  state.resident.resize(static_cast<std::size_t>(partitions_));
-  state.spill_dir = config.spill_dir;
-  std::shared_ptr<store::MemoryBudget> resident_budget = config.memory_budget;
-  if (!resident_budget && config.memory_budget_bytes > 0) {
-    resident_budget =
-        std::make_shared<store::MemoryBudget>(config.memory_budget_bytes);
-  }
-  state.resident_budget = resident_budget.get();
-
+  ChainState state(job, partitions_, config);
   core::JobReport chain_report;
   PlanCursor cur;
   int round = 1;
@@ -712,56 +565,12 @@ ChainResult JobChain::run_unchained(const ChainJob& job,
     state.statics = job.static_input.empty() ? nullptr : &statics;
 
     core::JobReport report;
-    std::mutex report_mu;
     minimpi::run_world(config.world_size(), [&](minimpi::Comm& comm) {
       core::MpiD mpid(comm, config);
-      switch (mpid.role()) {
-        case core::Role::kMapper: {
-          const int p = mpid.mapper_index();
-          shuffle::ShuffleCounters acc;
-          run_map_side(mpid, job, cur, round, p,
-                       round == 1 ? &inputs[static_cast<std::size_t>(p)]
-                                  : nullptr,
-                       &state.resident[static_cast<std::size_t>(p)],
-                       state.statics, /*reingest=*/true, acc);
-          mpid.fold_counters(acc);
-          mpid.finalize();
-          break;
-        }
-        case core::Role::kReducer: {
-          const int p = mpid.reducer_index();
-          ChainReduceContext ctx =
-              run_reduce_side(mpid, job, cur, round, p, state.statics);
-          auto& part = state.resident[static_cast<std::size_t>(p)];
-          part.seal(ctx.take_emitted(), state.resident_budget,
-                    state.spill_dir);
-          shuffle::ShuffleCounters acc;
-          if (state.statics) {
-            if (round == 1) {
-              acc.static_bytes_pinned = statics.partition_bytes(p);
-            } else {
-              acc.static_bytes_reshuffled = statics.partition_bytes(p);
-            }
-          }
-          if (part.spilled()) acc.resident_bytes_spilled = part.byte_count();
-          mpid.fold_counters(acc);
-          mpid.finalize();
-          std::lock_guard lock(state.mu);
-          state.round_counters[static_cast<std::size_t>(round - 1)].merge(
-              ctx.counters());
-          state.resident_pairs[static_cast<std::size_t>(round - 1)] +=
-              part.pair_count();
-          state.resident_bytes[static_cast<std::size_t>(round - 1)] +=
-              part.byte_count();
-          break;
-        }
-        case core::Role::kMaster: {
-          mpid.finalize();
-          std::lock_guard lock(report_mu);
-          report = mpid.report();
-          break;
-        }
-      }
+      run_round(mpid, state, job, cur, round, inputs, /*live=*/true,
+                /*chained=*/false);
+      mpid.finalize();
+      if (mpid.role() == core::Role::kMaster) report = mpid.report();
     });
 
     chain_report.totals += report.totals;
@@ -769,22 +578,18 @@ ChainResult JobChain::run_unchained(const ChainJob& job,
     chain_report.mappers_completed = report.mappers_completed;
     chain_report.reducers_completed = report.reducers_completed;
 
-    bool more;
-    {
-      std::lock_guard lock(state.mu);
-      more = chain_detail::advance_plan(
-          job, cur, state.round_counters[static_cast<std::size_t>(round - 1)]);
+    if (!chain_detail::advance_plan(
+            job, cur,
+            state.round_counters[static_cast<std::size_t>(round - 1)])) {
+      break;
     }
-    if (!more) break;
     ++round;
   }
   // Stamp the round count the chained executor gets from the per-round
   // stats stamp (a fresh one-shot world never stamps chain_rounds).
   chain_report.totals.chain_rounds = static_cast<std::uint64_t>(round);
 
-  state.round_counters.resize(static_cast<std::size_t>(round));
-  state.resident_pairs.resize(static_cast<std::size_t>(round));
-  state.resident_bytes.resize(static_cast<std::size_t>(round));
+  state.trim(static_cast<std::size_t>(round));
   return assemble_result(state, job, std::move(chain_report));
 }
 

@@ -1,28 +1,15 @@
 #include "mpid/mapred/job.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <iterator>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
-#include <thread>
-#include <unordered_map>
 
-#include "mpid/core/merge.hpp"
 #include "mpid/core/mpid.hpp"
-#include "mpid/fault/fault.hpp"
 #include "mpid/minimpi/world.hpp"
+#include "tasks.hpp"
 
 namespace mpid::mapred {
-
-namespace {
-
-/// Safety cap on task re-executions. Injected crashes self-bound through
-/// FaultPlan::max_injected_attempts; this guards against a plan scripted
-/// to kill every attempt.
-constexpr int kMaxTaskAttempts = 16;
-
-}  // namespace
 
 JobRunner::JobRunner(int mappers, int reducers)
     : mappers_(mappers), reducers_(reducers) {
@@ -50,289 +37,59 @@ JobResult JobRunner::run(const JobDef& job,
   JobResult result;
   std::mutex result_mu;
 
-  // Coded shuffle: every rank that replicates a map task must be able to
-  // re-read its split — the task's own mapper maps r sub-splits, and the
-  // home-group reducers replay r-1 of them as side information. Record
-  // sources are single-pass cursors, so materialize all splits up front
-  // (Hadoop's durable-split-in-DFS assumption, same as the fault path).
+  // One split per mapper, filled when its map task loads it. The coded
+  // shuffle loads every split up front: each rank that replicates a map
+  // task must re-read its split — the task's own mapper maps r
+  // sub-splits, and the home-group reducers replay r-1 of them as side
+  // information — and record sources are single-pass cursors (Hadoop's
+  // durable-split-in-DFS assumption, same as the fault path).
   const bool coded = config.coded_replication > 1;
-  std::vector<std::vector<std::string>> splits;
+  std::vector<std::vector<std::string>> splits(inputs.size());
   if (coded) {
-    splits.resize(inputs.size());
     for (std::size_t m = 0; m < inputs.size(); ++m) {
-      auto& source = inputs[m];
-      while (auto record = source()) splits[m].push_back(std::move(*record));
+      while (auto record = inputs[m]()) splits[m].push_back(std::move(*record));
     }
   }
-  // Replays task `task`'s sub-split `sub` through `emit` — the shared
-  // deterministic body of the mapper's primary run and the reducers'
-  // replica runs. The context reports the PRIMARY mapper's index, so
-  // index-dependent map functions agree across replicas.
-  const auto map_sub_split = [&](int task, int sub,
-                                 const core::MpiD::CodedEmitFn& emit) {
-    MapContext ctx(
-        [&emit](std::string_view k, std::string_view v) { emit(k, v); },
-        task);
-    const auto& split = splits[static_cast<std::size_t>(task)];
-    const auto r = config.coded_replication;
-    const std::size_t lo = static_cast<std::size_t>(sub) * split.size() / r;
-    const std::size_t hi =
-        (static_cast<std::size_t>(sub) + 1) * split.size() / r;
-    for (std::size_t i = lo; i < hi; ++i) job.map(split[i], ctx);
-  };
 
   minimpi::run_world(config.world_size(), [&](minimpi::Comm& comm) {
     core::MpiD mpid(comm, config);
     switch (mpid.role()) {
       case core::Role::kMapper: {
         const int mapper = mpid.mapper_index();
-        fault::FaultInjector* inj =
-            config.resilient_shuffle ? config.fault_injector.get() : nullptr;
-        if (coded) {
-          const auto& split = splits[static_cast<std::size_t>(mapper)];
-          const auto r = config.coded_replication;
-          for (int safety = 0;; ++safety) {
-            try {
-              std::optional<std::uint64_t> crash_at;
-              if (inj) {
-                crash_at = inj->crash_tick(fault::TaskKind::kMap, mapper,
-                                           mpid.attempt());
-                const auto lag = inj->straggle_delay(fault::TaskKind::kMap,
-                                                     mapper, mpid.attempt());
-                if (lag.count() > 0) std::this_thread::sleep_for(lag);
-              }
-              // Ticks count records across all r sub-pipelines (they may
-              // run on the worker pool), so a scripted crash fires at the
-              // same overall progress point regardless of map_threads.
-              std::atomic<std::uint64_t> ticks{0};
-              mpid.run_map_coded([&](int sub,
-                                     const core::MpiD::CodedEmitFn& emit) {
-                MapContext ctx(
-                    [&emit](std::string_view k, std::string_view v) {
-                      emit(k, v);
-                    },
-                    mapper);
-                const std::size_t lo =
-                    static_cast<std::size_t>(sub) * split.size() / r;
-                const std::size_t hi =
-                    (static_cast<std::size_t>(sub) + 1) * split.size() / r;
-                for (std::size_t i = lo; i < hi; ++i) {
-                  if (crash_at && ticks.fetch_add(1) + 1 >= *crash_at) {
-                    inj->note(fault::Kind::kTaskCrash,
-                              "map:" + std::to_string(mapper) + "#" +
-                                  std::to_string(mpid.attempt()));
-                    throw fault::TaskCrash(fault::TaskKind::kMap, mapper,
-                                           mpid.attempt());
-                  }
-                  job.map(split[i], ctx);
-                }
-              });
-              mpid.finalize();
-              break;
-            } catch (const fault::TaskCrash&) {
-              if (!inj || safety >= kMaxTaskAttempts) throw;
-              // Nothing left the rank yet (the coded matrix ships in
-              // finalize), so restart just discards the staged streams.
-              mpid.restart_mapper();
-            }
-          }
-          break;
-        }
-        auto& source = inputs[static_cast<std::size_t>(mapper)];
-        MapContext ctx(
-            [&](std::string_view k, std::string_view v) { mpid.send(k, v); },
-            mapper);
-        if (!inj) {
-          if (config.map_threads > 1) {
-            // Hybrid process+threads path: materialize the split so its
-            // chunks are random-access, then run them through the rank's
-            // worker pool. The chunk count comes from the options (never
-            // from the thread count), so the shipped bytes are identical
-            // at every map_threads setting.
-            std::vector<std::string> split;
-            while (auto record = source()) split.push_back(std::move(*record));
-            const std::size_t chunks =
-                shuffle::resolve_map_chunks(config, split.size());
-            mpid.run_map_parallel(
-                chunks, [&](std::size_t chunk,
-                            const shuffle::ParallelMapper::EmitFn& emit) {
-                  MapContext chunk_ctx(
-                      [&emit](std::string_view k, std::string_view v) {
-                        emit(k, v);
-                      },
-                      mapper);
-                  const std::size_t lo = chunk * split.size() / chunks;
-                  const std::size_t hi = (chunk + 1) * split.size() / chunks;
-                  for (std::size_t i = lo; i < hi; ++i) {
-                    job.map(split[i], chunk_ctx);
-                  }
-                });
-            mpid.finalize();
-            break;
-          }
-          // No injected crashes possible: stream the split straight
-          // through (records never materialize).
-          while (auto record = source()) job.map(*record, ctx);
-          mpid.finalize();
-          break;
-        }
-        // Fault injection armed: materialize the split once so a crashed
-        // attempt can re-read it from the start (Hadoop re-executes a
-        // failed map against its durable split in DFS; RecordSource
-        // cursors are single-pass).
-        std::vector<std::string> split;
-        while (auto record = source()) split.push_back(std::move(*record));
-        for (int safety = 0;; ++safety) {
-          try {
-            const auto crash_at = inj->crash_tick(fault::TaskKind::kMap,
-                                                  mapper, mpid.attempt());
-            const auto lag = inj->straggle_delay(fault::TaskKind::kMap,
-                                                 mapper, mpid.attempt());
-            if (lag.count() > 0) std::this_thread::sleep_for(lag);
-            std::uint64_t ticks = 0;
-            for (const auto& record : split) {
-              if (crash_at && ++ticks >= *crash_at) {
-                inj->note(fault::Kind::kTaskCrash,
-                          "map:" + std::to_string(mapper) + "#" +
-                              std::to_string(mpid.attempt()));
-                throw fault::TaskCrash(fault::TaskKind::kMap, mapper,
-                                       mpid.attempt());
-              }
-              job.map(record, ctx);
-            }
-            mpid.finalize();
-            break;
-          } catch (const fault::TaskCrash&) {
-            if (safety >= kMaxTaskAttempts) throw;
-            mpid.restart_mapper();
-          }
-        }
+        const auto m = static_cast<std::size_t>(mapper);
+        detail::run_map_task(
+            mpid, config,
+            detail::source_map_task(inputs[m], job.map, mapper, splits[m],
+                                    /*bytes_read=*/nullptr));
+        mpid.finalize();
         break;
       }
       case core::Role::kReducer: {
-        fault::FaultInjector* inj =
-            config.resilient_shuffle ? config.fault_injector.get() : nullptr;
-        if (inj) {
-          const auto lag = inj->straggle_delay(
-              fault::TaskKind::kReduce, mpid.reducer_index(), mpid.attempt());
-          if (lag.count() > 0) std::this_thread::sleep_for(lag);
-        }
         if (coded) {
           // The redundant map pass runs once, before any recv: its side
           // terms decode every coded payload (and survive reducer
-          // restarts — the replay is deterministic).
-          mpid.run_reduce_side_map(map_sub_split);
+          // restarts — the replay is deterministic). The context reports
+          // the PRIMARY mapper's index, so index-dependent map functions
+          // agree across replicas.
+          mpid.run_reduce_side_map(
+              [&](int task, int sub, const core::MpiD::CodedEmitFn& emit) {
+                const auto& split = splits[static_cast<std::size_t>(task)];
+                const auto [lo, hi] = detail::part_range(
+                    split.size(), config.coded_replication,
+                    static_cast<std::size_t>(sub));
+                MapContext ctx(emit, task);
+                for (std::size_t i = lo; i < hi; ++i) job.map(split[i], ctx);
+              });
         }
-        if (job.streaming_merge_reduce) {
-          // Hadoop's merge phase: collect the key-sorted frames, then
-          // stream globally ordered groups straight into reduce(). With
-          // reduce_threads > 1 the frames are collected undecoded and
-          // prepare() fans the codec decode + a cursor pre-merge across
-          // the rank's worker pool.
-          // A bounded memory budget forces the sequential collect path:
-          // the threaded path batches every wire frame in memory before
-          // prepare(), which is exactly the footprint the budget exists to
-          // cap. Sequential add_frame() charges the budget per frame and
-          // spills sorted runs to disk when refused (DESIGN.md §13).
-          const bool budgeted = config.memory_budget_bytes > 0;
-          const bool threaded = config.reduce_threads > 1 && !inj && !budgeted;
-          core::SortedFrameMerger merger;
-          shuffle::ShuffleCounters spill_counters;
-          if (budgeted) {
-            merger.enable_spill(config, mpid.memory_budget(), &spill_counters);
-          }
-          for (int safety = 0;; ++safety) {
-            try {
-              std::vector<std::byte> frame;
-              if (threaded) {
-                bool codec_framed = false;
-                while (mpid.recv_wire_frame(frame, codec_framed)) {
-                  merger.add_wire_frame(std::move(frame), codec_framed);
-                }
-              } else {
-                while (mpid.recv_raw_frame(frame)) {
-                  merger.add_frame(std::move(frame));
-                }
-              }
-              break;
-            } catch (const fault::TaskCrash&) {
-              // Injected crash mid-shuffle: discard everything collected
-              // and re-pull the retained mapper lanes.
-              if (safety >= kMaxTaskAttempts) throw;
-              mpid.restart_reducer();
-              // The dead attempt's merger drops its disk runs via SpillFile
-              // RAII; the fresh one must re-arm the disk tier before the
-              // re-pulled frames arrive.
-              merger = core::SortedFrameMerger{};
-              if (budgeted) {
-                merger.enable_spill(config, mpid.memory_budget(),
-                                    &spill_counters);
-              }
-            }
-          }
-          if (threaded) {
-            shuffle::ShuffleCounters decode_counters;
-            merger.prepare(mpid.worker_pool(), config.partition_frame_bytes,
-                           &decode_counters);
-            mpid.fold_counters(decode_counters);
-          }
-          if (budgeted) {
-            // Compact now so the spill counters are final, then ship them:
-            // finalize() sends this rank's stats to the master before the
-            // reduce loop streams a single group.
-            merger.finish_spill_phase();
-            mpid.fold_counters(spill_counters);
-          }
-          mpid.finalize();
-
-          ReduceContext ctx(mpid.reducer_index());
-          std::string key;
-          std::vector<std::string> values;
-          while (merger.next_group(key, values)) {
-            job.reduce(key, values, ctx);
-          }
-          std::lock_guard lock(result_mu);
-          std::move(ctx.outputs_.begin(), ctx.outputs_.end(),
-                    std::back_inserter(result.outputs));
-          break;
-        }
-
-        // Global grouping: MPI-D streams per-mapper segments; fold them
-        // into one value list per key before invoking the user reduce.
-        std::unordered_map<std::string, std::vector<std::string>> groups;
-        for (int safety = 0;; ++safety) {
-          try {
-            std::string key;
-            std::vector<std::string> values;
-            while (mpid.recv_group(key, values)) {
-              auto& list = groups[key];
-              std::move(values.begin(), values.end(),
-                        std::back_inserter(list));
-              values.clear();
-            }
-            break;
-          } catch (const fault::TaskCrash&) {
-            if (safety >= kMaxTaskAttempts) throw;
-            mpid.restart_reducer();
-            groups.clear();
-          }
-        }
+        detail::ReduceTask task(mpid, config, job.streaming_merge_reduce);
+        task.collect();
         mpid.finalize();
 
         ReduceContext ctx(mpid.reducer_index());
-        if (job.sorted_reduce) {
-          std::vector<const std::string*> keys;
-          keys.reserve(groups.size());
-          for (const auto& [k, vs] : groups) keys.push_back(&k);
-          std::sort(keys.begin(), keys.end(),
-                    [](const auto* a, const auto* b) { return *a < *b; });
-          for (const auto* k : keys) {
-            job.reduce(*k, groups.at(*k), ctx);
-          }
-        } else {
-          for (const auto& [k, vs] : groups) job.reduce(k, vs, ctx);
-        }
-
+        task.reduce(job.sorted_reduce, [&](std::string_view key,
+                                           std::vector<std::string>& values) {
+          job.reduce(key, values, ctx);
+        });
         std::lock_guard lock(result_mu);
         std::move(ctx.outputs_.begin(), ctx.outputs_.end(),
                   std::back_inserter(result.outputs));

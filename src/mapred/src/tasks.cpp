@@ -1,0 +1,224 @@
+#include "tasks.hpp"
+
+#include <algorithm>
+#include <atomic>
+#include <iterator>
+#include <optional>
+#include <thread>
+
+#include "mpid/fault/fault.hpp"
+#include "mpid/shuffle/parallel.hpp"
+
+namespace mpid::mapred::detail {
+
+namespace {
+
+/// Safety cap on task re-executions. Injected crashes self-bound through
+/// FaultPlan::max_injected_attempts; this guards against a plan scripted
+/// to kill every attempt.
+constexpr int kMaxTaskAttempts = 16;
+
+/// The armed injector. Task faults ride on the resilient shuffle: the
+/// plain shuffle has no recovery.
+fault::FaultInjector* injector(const core::Config& config) {
+  return config.resilient_shuffle ? config.fault_injector.get() : nullptr;
+}
+
+void straggle(fault::FaultInjector& inj, fault::TaskKind kind, int task,
+              int attempt) {
+  const auto lag = inj.straggle_delay(kind, task, attempt);
+  if (lag.count() > 0) std::this_thread::sleep_for(lag);
+}
+
+}  // namespace
+
+MapTask source_map_task(RecordSource& source, const MapFn& map, int mapper,
+                        std::vector<std::string>& split,
+                        std::uint64_t* bytes_read) {
+  MapTask task;
+  task.stream = [&source, &map, mapper, bytes_read](const Emit& emit) {
+    MapContext ctx(emit, mapper);
+    while (auto record = source()) {
+      if (bytes_read != nullptr) *bytes_read += record->size();
+      map(*record, ctx);
+    }
+  };
+  task.load = [&source, &split, bytes_read] {
+    while (auto record = source()) {
+      if (bytes_read != nullptr) *bytes_read += record->size();
+      split.push_back(std::move(*record));
+    }
+    return split.size();
+  };
+  task.map_range = [&split, &map, mapper](std::size_t lo, std::size_t hi,
+                                          const Emit& emit,
+                                          const std::function<void()>& tick) {
+    MapContext ctx(emit, mapper);
+    for (std::size_t i = lo; i < hi; ++i) {
+      tick();
+      map(split[i], ctx);
+    }
+  };
+  return task;
+}
+
+std::pair<std::size_t, std::size_t> part_range(std::size_t count,
+                                               std::size_t parts,
+                                               std::size_t part) {
+  return {part * count / parts, (part + 1) * count / parts};
+}
+
+void run_map_task(core::MpiD& mpid, const core::Config& config,
+                  const MapTask& task) {
+  const Emit send = [&mpid](std::string_view key, std::string_view value) {
+    mpid.send(key, value);
+  };
+  fault::FaultInjector* inj = injector(config);
+  const bool coded = config.coded_replication > 1;
+  if (inj == nullptr && !coded && config.map_threads <= 1) {
+    task.stream(send);
+    return;
+  }
+  // A crashed attempt re-reads the split from its first record (Hadoop
+  // re-executes a failed map against its durable split in DFS), and
+  // worker-pool chunks and coded sub-splits slice it.
+  const std::size_t count = task.load();
+  const int mapper = mpid.mapper_index();
+  for (int safety = 0;; ++safety) {
+    const int attempt = mpid.attempt();
+    try {
+      std::optional<std::uint64_t> crash_at;
+      if (inj != nullptr) {
+        crash_at = inj->crash_tick(fault::TaskKind::kMap, mapper, attempt);
+        straggle(*inj, fault::TaskKind::kMap, mapper, attempt);
+      }
+      // Ticks count records across every chunk or sub-split, which may run
+      // on the worker pool, so a scripted crash fires at the same overall
+      // progress point whatever the thread count.
+      std::atomic<std::uint64_t> ticks{0};
+      const std::function<void()> tick = [&] {
+        if (crash_at && ticks.fetch_add(1) + 1 >= *crash_at) {
+          inj->note(fault::Kind::kTaskCrash, "map:" + std::to_string(mapper) +
+                                                 "#" + std::to_string(attempt));
+          throw fault::TaskCrash(fault::TaskKind::kMap, mapper, attempt);
+        }
+      };
+      if (coded) {
+        const std::size_t r = config.coded_replication;
+        mpid.run_map_coded([&](int sub, const Emit& emit) {
+          const auto [lo, hi] =
+              part_range(count, r, static_cast<std::size_t>(sub));
+          task.map_range(lo, hi, emit, tick);
+        });
+      } else if (inj == nullptr && config.map_threads > 1) {
+        // The chunk count comes from the options, never from the thread
+        // count, so the shipped bytes are identical at every map_threads.
+        // Injected crashes keep the sequential path (DESIGN.md §12).
+        const std::size_t chunks = shuffle::resolve_map_chunks(config, count);
+        mpid.run_map_parallel(chunks, [&](std::size_t chunk, const Emit& emit) {
+          const auto [lo, hi] = part_range(count, chunks, chunk);
+          task.map_range(lo, hi, emit, tick);
+        });
+      } else {
+        task.map_range(0, count, send, tick);
+      }
+      return;
+    } catch (const fault::TaskCrash&) {
+      if (inj == nullptr || safety >= kMaxTaskAttempts) throw;
+      mpid.restart_mapper();
+    }
+  }
+}
+
+ReduceTask::ReduceTask(core::MpiD& mpid, const core::Config& config,
+                       bool merge)
+    : mpid_(mpid),
+      config_(config),
+      merge_(merge),
+      budgeted_(merge && config.memory_budget_bytes > 0),
+      // A budget keeps the sequential collect: the threaded one holds every
+      // wire frame in memory until prepare(), the footprint the budget
+      // caps, while add_frame() charges each frame and spills sorted runs
+      // when refused (DESIGN.md §13). Injected crashes stay sequential too.
+      threaded_(merge && config.reduce_threads > 1 &&
+                injector(config) == nullptr && !budgeted_) {}
+
+void ReduceTask::arm_merger() {
+  if (budgeted_) {
+    merger_.enable_spill(config_, mpid_.memory_budget(), &spill_counters_);
+  }
+}
+
+void ReduceTask::collect() {
+  if (fault::FaultInjector* inj = injector(config_)) {
+    straggle(*inj, fault::TaskKind::kReduce, mpid_.reducer_index(),
+             mpid_.attempt());
+  }
+  arm_merger();
+  for (int safety = 0;; ++safety) {
+    try {
+      std::vector<std::byte> frame;
+      if (!merge_) {
+        std::string key;
+        std::vector<std::string> values;
+        while (mpid_.recv_group(key, values)) {
+          auto& list = groups_[key];
+          std::move(values.begin(), values.end(), std::back_inserter(list));
+          values.clear();
+        }
+      } else if (threaded_) {
+        bool codec_framed = false;
+        while (mpid_.recv_wire_frame(frame, codec_framed)) {
+          merger_.add_wire_frame(std::move(frame), codec_framed);
+        }
+      } else {
+        while (mpid_.recv_raw_frame(frame)) merger_.add_frame(std::move(frame));
+      }
+      break;
+    } catch (const fault::TaskCrash&) {
+      // An injected crash mid-shuffle: drop everything received and
+      // re-pull the retained mapper lanes. The dead attempt's merger
+      // removes its disk runs (SpillFile RAII); the fresh one re-arms its
+      // disk tier before the re-pulled frames arrive.
+      if (safety >= kMaxTaskAttempts) throw;
+      mpid_.restart_reducer();
+      groups_.clear();
+      merger_ = core::SortedFrameMerger{};
+      arm_merger();
+    }
+  }
+  if (threaded_) {
+    shuffle::ShuffleCounters decode_counters;
+    merger_.prepare(mpid_.worker_pool(), config_.partition_frame_bytes,
+                    &decode_counters);
+    mpid_.fold_counters(decode_counters);
+  }
+  if (budgeted_) {
+    // Compact now, so the spill counters are final when the barrier ships
+    // them.
+    merger_.finish_spill_phase();
+    mpid_.fold_counters(spill_counters_);
+  }
+}
+
+void ReduceTask::reduce(bool sorted, const GroupFn& fn) {
+  if (merge_) {
+    std::string key;
+    std::vector<std::string> values;
+    while (merger_.next_group(key, values)) fn(key, values);
+    return;
+  }
+  if (!sorted) {
+    for (auto& [key, values] : groups_) fn(key, values);
+    return;
+  }
+  std::vector<decltype(groups_)::value_type*> order;
+  order.reserve(groups_.size());
+  for (auto& group : groups_) order.push_back(&group);
+  std::sort(order.begin(), order.end(), [](const auto* a, const auto* b) {
+    return a->first < b->first;
+  });
+  for (auto* group : order) fn(group->first, group->second);
+}
+
+}  // namespace mpid::mapred::detail

@@ -1,0 +1,102 @@
+// The map task driver and the reduce task driver behind both MPI-D
+// runners, JobRunner and JobChain.
+//
+// A runner says what a task reads and which user function it calls; the
+// drivers own everything else. On the map side that is streaming versus
+// loaded input, worker-pool chunks, coded sub-splits, straggler delays,
+// injected crashes and the restart loop. On the reduce side it is the
+// crash/re-pull loop, the merge phase and the key-order regroup.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
+#include "mpid/core/merge.hpp"
+#include "mpid/core/mpid.hpp"
+#include "mpid/mapred/input.hpp"
+#include "mpid/mapred/job.hpp"
+
+namespace mpid::mapred::detail {
+
+using Emit = MapContext::Sink;
+
+/// One map task's input and map function, as run_map_task consumes them.
+struct MapTask {
+  /// Maps every record in one pass through `emit`. Taken when nothing
+  /// re-reads or slices the input, so the records never materialize.
+  std::function<void(const Emit& emit)> stream;
+  /// Loads the input for random access and returns the record count.
+  /// Called at most once, and never together with `stream`.
+  std::function<std::size_t()> load;
+  /// Maps loaded records [lo, hi) through `emit`, calling `tick()` before
+  /// each one. Several calls may run at once on the rank's worker pool.
+  std::function<void(std::size_t lo, std::size_t hi, const Emit& emit,
+                     const std::function<void()>& tick)>
+      map_range;
+};
+
+/// A map task over a single-pass record source, mapped by `map` under
+/// mapper index `mapper`. `load` moves the records into `split`, which
+/// must outlive the task. `bytes_read` (nullable) counts the record bytes
+/// read.
+MapTask source_map_task(RecordSource& source, const MapFn& map, int mapper,
+                        std::vector<std::string>& split,
+                        std::uint64_t* bytes_read);
+
+/// Records [lo, hi) of part `part` when `count` records split into
+/// `parts` contiguous parts.
+std::pair<std::size_t, std::size_t> part_range(std::size_t count,
+                                               std::size_t parts,
+                                               std::size_t part);
+
+/// Runs one map task on a mapper rank, up to its round barrier (the
+/// caller's finalize() or next_round()). The input streams straight into
+/// MPI_D_Send unless it must be loaded: an armed fault injector re-runs
+/// a crashed attempt from the first record (restart_mapper), map_threads
+/// > 1 maps resolve_map_chunks() chunks on the rank's worker pool, and
+/// the coded shuffle maps its r sub-splits through run_map_coded.
+void run_map_task(core::MpiD& mpid, const core::Config& config,
+                  const MapTask& task);
+
+/// The reduce side of one task, or of one chain round, on a reducer rank.
+class ReduceTask {
+ public:
+  using GroupFn = std::function<void(std::string_view key,
+                                     std::vector<std::string>& values)>;
+
+  /// `merge` selects Hadoop's merge phase: the key-sorted frames (the
+  /// mappers must set sort_keys) stream through a SortedFrameMerger
+  /// instead of being regrouped in a hash table. `config` must outlive
+  /// the task.
+  ReduceTask(core::MpiD& mpid, const core::Config& config, bool merge);
+
+  /// Receives the round's whole shuffle. An injected crash restarts the
+  /// attempt: what was received is discarded and every lane re-pulled.
+  /// Call before the rank's finalize() or next_round(), which ship the
+  /// decode and spill counters folded here.
+  void collect();
+
+  /// Calls `fn` once per key: in key order when `sorted` (always when
+  /// merging), else in hash-table order.
+  void reduce(bool sorted, const GroupFn& fn);
+
+ private:
+  void arm_merger();
+
+  core::MpiD& mpid_;
+  const core::Config& config_;
+  const bool merge_;
+  const bool budgeted_;  // the merger's disk tier is armed
+  const bool threaded_;  // decode + pre-merge on the rank's worker pool
+  std::unordered_map<std::string, std::vector<std::string>> groups_;
+  core::SortedFrameMerger merger_;
+  shuffle::ShuffleCounters spill_counters_;
+};
+
+}  // namespace mpid::mapred::detail

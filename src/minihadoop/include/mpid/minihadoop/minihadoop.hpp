@@ -47,8 +47,7 @@ namespace mpid::minihadoop {
 
 /// MiniHadoop job configuration: the shared shuffle knobs (see
 /// shuffle::ShuffleOptions for spill_threshold_bytes,
-/// inline_combine_threshold, sorting, flat_combine_table,
-/// shuffle_compression and the compress_* policy — the same fields
+/// inline_combine_threshold, sorting, shuffle_compression and the compress_* policy — the same fields
 /// core::Config inherits) plus this runtime's job shape and fault policy.
 struct MiniJobConfig : shuffle::ShuffleOptions {
   mapred::MapFn map;

@@ -651,9 +651,8 @@ JobSummary MiniCluster::run_internal(const MiniJobConfig& config,
     auto location = fetch_locations(rpc);
     std::map<int, std::unique_ptr<hrpc::HttpClient>> copiers;
     ReduceOutcome outcome;
-    // Reducer-side grouping reuses the shuffle engine's buffer stage (flat
-    // table or node-based map, same knob as the map side); no combiner, no
-    // spill — the groups are only iterated at reduce time.
+    // Reducer-side grouping reuses the shuffle engine's buffer stage; no
+    // combiner, no spill — the groups are only iterated at reduce time.
     //
     // Under a memory budget with sorted_reduce, grouping goes through the
     // two-tier store instead: each fetched segment is stably sorted into

@@ -2,16 +2,11 @@
 //
 // Both runtimes accumulate emitted (key, value) pairs per key until a
 // spill realigns the buffer into partition frames (Section IV.A of the
-// paper). This file owns the two interchangeable buffer implementations
-// behind one interface:
-//
-//   * the flat combine table (common::KvCombineTable, the default): open-
-//     addressing slots, arena-interned keys, slab-chained values already
-//     in wire format — zero allocations per pair in steady state;
-//   * the legacy node-based buffer (flat_combine_table = false, the A/B
-//     baseline): one heap entry per key, values as std::strings, drained
-//     in first-insertion order so both buffers spill entries in the same
-//     deterministic order.
+// paper). The buffer is a flat combine table (common::KvCombineTable):
+// open-addressing slots, arena-interned keys, slab-chained values already
+// in wire format — zero allocations per pair in steady state. Entries
+// drain in first-insertion order or sorted by key, so spills are
+// deterministic.
 //
 // CombineRunner wraps the user combiner with the timing and the
 // single-value skip rule both runtimes share: a one-element value list is
@@ -24,11 +19,9 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "mpid/common/hash.hpp"
 #include "mpid/common/kvtable.hpp"
 #include "mpid/shuffle/counters.hpp"
 #include "mpid/shuffle/options.hpp"
@@ -68,16 +61,9 @@ class CombineRunner {
 /// the receive side, iterate groups with for_each_group().
 class MapOutputBuffer {
  public:
-  /// One buffered entry as seen by drain(): exactly one of `flat` /
-  /// `values` is set, and key_hash is the cached fnv1a64(key) the default
-  /// partitioner consumes without rehashing.
-  struct Entry {
-    std::string_view key;
-    std::uint64_t key_hash = 0;
-    std::size_t value_count = 0;
-    const common::KvCombineTable::EntryView* flat = nullptr;
-    std::vector<std::string>* values = nullptr;
-  };
+  /// One buffered entry as seen by drain(); key_hash is the cached
+  /// fnv1a64(key) the default partitioner consumes without rehashing.
+  using Entry = common::KvCombineTable::EntryView;
 
   /// `combine` (nullable) enables incremental combining at
   /// options.inline_combine_threshold; `counters` receives the spill/peak
@@ -95,25 +81,20 @@ class MapOutputBuffer {
 
   void append(std::string_view key, std::string_view value);
 
-  bool empty() const noexcept {
-    return flat_ ? table_.empty() : legacy_entries_.empty();
-  }
+  bool empty() const noexcept { return table_.empty(); }
 
-  /// Spill-threshold accounting: key + value bytes plus per-entry
-  /// bookkeeping overhead.
-  std::size_t bytes_used() const noexcept {
-    return flat_ ? table_.bytes_used() : legacy_bytes_;
-  }
+  /// Spill-threshold accounting: interned key bytes plus encoded value
+  /// bytes.
+  std::size_t bytes_used() const noexcept { return table_.bytes_used(); }
 
   bool should_spill() const noexcept {
     return bytes_used() >= spill_threshold_ || pressure_spill_;
   }
 
-  /// Largest single-entry frame overshoot (exact on the flat path, 0 on
-  /// the legacy path) — the frame reservation slack SpillEncoder adds to
-  /// the flush threshold.
+  /// Largest single-entry frame overshoot — the frame reservation slack
+  /// SpillEncoder adds to the flush threshold.
   std::size_t max_entry_frame_bytes() const noexcept {
-    return flat_ ? table_.max_entry_frame_bytes() : 0;
+    return table_.max_entry_frame_bytes();
   }
 
   /// Empties the buffer through `fn(const Entry&)`, in first-insertion
@@ -130,41 +111,15 @@ class MapOutputBuffer {
     if (bytes_used() > counters_->table_bytes_peak) {
       counters_->table_bytes_peak = bytes_used();
     }
-    if (flat_) {
-      try {
-        table_.for_each(sorted,
-                        [&](const common::KvCombineTable::EntryView& e) {
-                          fn(Entry{e.key, e.key_hash, e.value_count, &e,
-                                   nullptr});
-                        });
-      } catch (...) {
-        table_.recycle();
-        release_budget();
-        throw;
-      }
+    try {
+      table_.for_each(sorted, fn);
+    } catch (...) {
       table_.recycle();
-      ++counters_->arena_recycles;
       release_budget();
-      return;
+      throw;
     }
-    // Move both containers out first: the entries' key views point into
-    // the index's nodes, and the buffer must read empty before `fn` can
-    // throw.
-    auto entries = std::move(legacy_entries_);
-    auto index = std::move(legacy_index_);
-    legacy_entries_.clear();
-    legacy_index_.clear();
-    legacy_bytes_ = 0;
-    if (sorted) {
-      std::sort(entries.begin(), entries.end(),
-                [](const LegacyEntry& a, const LegacyEntry& b) {
-                  return a.key < b.key;
-                });
-    }
-    for (auto& e : entries) {
-      fn(Entry{e.key, common::fnv1a64(e.key), e.values.size(), nullptr,
-               &e.values});
-    }
+    table_.recycle();
+    ++counters_->arena_recycles;
     release_budget();
   }
 
@@ -174,41 +129,19 @@ class MapOutputBuffer {
   /// not touch spill counters.
   template <typename Fn>
   void for_each_group(bool sorted, Fn&& fn) {
-    if (flat_) {
-      table_.for_each(sorted,
-                      [&](const common::KvCombineTable::EntryView& e) {
-                        scratch_.clear();
-                        auto cursor = e.values;
-                        while (auto v = cursor.next()) {
-                          scratch_.emplace_back(*v);
-                        }
-                        fn(e.key, scratch_);
-                      });
-      return;
-    }
-    if (!sorted) {
-      for (const auto& e : legacy_entries_) fn(e.key, e.values);
-      return;
-    }
-    std::vector<const LegacyEntry*> order;
-    order.reserve(legacy_entries_.size());
-    for (const auto& e : legacy_entries_) order.push_back(&e);
-    std::sort(order.begin(), order.end(),
-              [](const LegacyEntry* a, const LegacyEntry* b) {
-                return a->key < b->key;
-              });
-    for (const auto* e : order) fn(e->key, e->values);
+    table_.for_each(sorted, [&](const Entry& e) {
+      scratch_.clear();
+      auto cursor = e.values;
+      while (auto v = cursor.next()) scratch_.emplace_back(*v);
+      fn(e.key, scratch_);
+    });
   }
 
   /// Discards everything buffered without counting a spill round (task
-  /// restart support); arena chunks and node capacity are kept.
+  /// restart support); arena chunks are kept.
   void clear();
 
  private:
-  /// Approximate per-entry bookkeeping overhead counted against the spill
-  /// threshold on the legacy path (hash node + string headers).
-  static constexpr std::size_t kEntryOverhead = 48;
-
   /// Returns every charged byte to the budget and re-opens the fast tier
   /// (called when the buffer empties).
   void release_budget() noexcept {
@@ -216,13 +149,6 @@ class MapOutputBuffer {
     pressure_spill_ = false;
   }
 
-  struct LegacyEntry {
-    std::string_view key;  // aliases the index node's key; stable
-    std::vector<std::string> values;
-    std::size_t bytes = 0;  // value bytes only (key counted separately)
-  };
-
-  const bool flat_;
   const std::size_t spill_threshold_;
   const std::size_t inline_combine_threshold_;
   const std::size_t budget_chunk_;  // charge granularity (spill_page_bytes)
@@ -232,16 +158,6 @@ class MapOutputBuffer {
   bool pressure_spill_ = false;
 
   common::KvCombineTable table_;
-
-  // Legacy path: dense first-insertion-order entries plus a transparent
-  // index whose node-stable keys back the entries' views.
-  std::vector<LegacyEntry> legacy_entries_;
-  std::unordered_map<std::string, std::uint32_t,
-                     common::TransparentStringHash,
-                     common::TransparentStringEq>
-      legacy_index_;
-  std::size_t legacy_bytes_ = 0;
-
   std::vector<std::string> scratch_;  // for_each_group materialization
 };
 

@@ -29,7 +29,7 @@ struct ShuffleCounters {
   /// values + bookkeeping). Aggregates as a max, not a sum.
   std::uint64_t table_bytes_peak = 0;
   /// Spill rounds that recycled the flat table's arenas in place instead
-  /// of freeing (zero on the legacy node-based path).
+  /// of freeing.
   std::uint64_t arena_recycles = 0;
 
   // --- shuffle compression (zero when shuffle_compression is off) ---

@@ -76,10 +76,6 @@ class SpillEncoder {
   SpillEncoder(const SpillEncoder&) = delete;
   SpillEncoder& operator=(const SpillEncoder&) = delete;
 
-  /// Realigns one pair straight into its partition frame, bypassing the
-  /// buffer (the direct_realign path: no combining, no sorting).
-  void emit_direct(std::string_view key, std::string_view value);
-
   /// Drains `buffer` into the partition frames: per entry — partition
   /// select (reusing the cached key hash), spill-time combine, optional
   /// value sort, serialize; full frames flush to the sink as they fill.

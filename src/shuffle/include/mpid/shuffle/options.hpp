@@ -83,14 +83,6 @@ struct ShuffleOptions {
   /// (Hadoop's sorted spill runs; required by SegmentMerger consumers).
   bool sort_keys = false;
 
-  /// Buffer emitted pairs in common::KvCombineTable — an open-addressing
-  /// flat table whose keys live in a bump-pointer arena and whose value
-  /// lists are slab-allocated block chains — instead of a node-based map.
-  /// Spills drain the arenas back to empty without freeing, so
-  /// steady-state mapping allocates nothing per pair. Disabling falls
-  /// back to the legacy node-based buffer (kept for A/B benchmarking).
-  bool flat_combine_table = true;
-
   /// Shuffle-frame compression (see ShuffleCompression above).
   ShuffleCompression shuffle_compression = ShuffleCompression::kOff;
 
@@ -209,8 +201,7 @@ struct ShuffleOptions {
   /// byte-for-byte the uncoded one. Values > 1 are MPI-D only (the
   /// multicast needs the MPI fabric; MiniHadoop rejects them), require
   /// r to divide the reducer count (validate() checks what it can see
-  /// here; the runtime checks the counts), and are incompatible with
-  /// direct_realign (replica alignment needs the buffered spill path).
+  /// here; the runtime checks the counts).
   std::size_t coded_replication = 1;
 
   // --- iterative job chaining (DESIGN.md §16) ---

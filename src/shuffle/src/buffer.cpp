@@ -40,8 +40,7 @@ MapOutputBuffer::MapOutputBuffer(const ShuffleOptions& options,
                                  CombineRunner* combine,
                                  ShuffleCounters* counters,
                                  store::MemoryBudget* budget)
-    : flat_(options.flat_combine_table),
-      spill_threshold_(options.spill_threshold_bytes),
+    : spill_threshold_(options.spill_threshold_bytes),
       inline_combine_threshold_(options.inline_combine_threshold),
       budget_chunk_(options.spill_page_bytes),
       combine_(combine),
@@ -62,52 +61,19 @@ void MapOutputBuffer::append(std::string_view key, std::string_view value) {
       }
     }
   }
-  const bool inline_combine = inline_combine_threshold_ > 0 && combine_ &&
-                              combine_->enabled();
-  if (flat_) {
-    // Flat combine table: the append bumps two arenas and touches one
-    // contiguous control-byte run — no node allocation, no key copy
-    // beyond the one-time interning, no small-string churn.
-    const std::size_t count = table_.append(key, value);
-    if (inline_combine && count >= inline_combine_threshold_) {
-      combine_->combine_entry(table_, table_.last_index(), key);
-    }
-    return;
-  }
-
-  auto it = legacy_index_.find(key);  // transparent: no temporary string
-  const bool inserted = it == legacy_index_.end();
-  if (inserted) {
-    it = legacy_index_
-             .emplace(std::string(key),
-                      static_cast<std::uint32_t>(legacy_entries_.size()))
-             .first;
-    legacy_entries_.push_back(LegacyEntry{it->first, {}, 0});
-  }
-  LegacyEntry& entry = legacy_entries_[it->second];
-  entry.values.emplace_back(value);
-  entry.bytes += value.size();
-  legacy_bytes_ += value.size();
-  if (inserted) legacy_bytes_ += key.size() + kEntryOverhead;
-
-  if (inline_combine && entry.values.size() >= inline_combine_threshold_) {
-    const std::size_t before = entry.bytes;
-    combine_->combine(entry.key, entry.values);
-    entry.bytes = 0;
-    for (const auto& v : entry.values) entry.bytes += v.size();
-    legacy_bytes_ -= std::min(legacy_bytes_, before - entry.bytes);
+  // The append bumps two arenas and touches one contiguous control-byte
+  // run — no node allocation, no key copy beyond the one-time interning,
+  // no small-string churn.
+  const std::size_t count = table_.append(key, value);
+  if (inline_combine_threshold_ > 0 && combine_ != nullptr &&
+      combine_->enabled() && count >= inline_combine_threshold_) {
+    combine_->combine_entry(table_, table_.last_index(), key);
   }
 }
 
 void MapOutputBuffer::clear() {
   release_budget();
-  if (flat_) {
-    if (!table_.empty()) table_.recycle();
-    return;
-  }
-  legacy_entries_.clear();
-  legacy_index_.clear();
-  legacy_bytes_ = 0;
+  if (!table_.empty()) table_.recycle();
 }
 
 }  // namespace mpid::shuffle

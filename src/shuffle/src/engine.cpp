@@ -31,19 +31,6 @@ SpillEncoder::SpillEncoder(const ShuffleOptions& options, Setup setup)
       writers_(setup.partitions),
       capacity_hint_(flush_bytes_ == kUnboundedFrame ? 0 : flush_bytes_) {}
 
-void SpillEncoder::emit_direct(std::string_view key, std::string_view value) {
-  const std::uint32_t p = partitioner_(key);
-  auto& w = writers_[p];
-  if (layout_ == Layout::kKvList) {
-    w.list.begin_group(key, 1);
-    w.list.add_value(value);
-  } else {
-    w.pair.append(key, value);
-  }
-  ++counters_->pairs_after_combine;
-  maybe_flush(p);
-}
-
 void SpillEncoder::spill(MapOutputBuffer& buffer) {
   if (buffer.empty()) return;
   const std::uint64_t start = now_ns();
@@ -79,43 +66,34 @@ void SpillEncoder::spill(MapOutputBuffer& buffer) {
 
 void SpillEncoder::append_entry(const MapOutputBuffer::Entry& entry) {
   const std::uint32_t p = partitioner_.of_hashed(entry.key, entry.key_hash);
-  if (entry.flat != nullptr) {
-    const bool combining = combine_ != nullptr && combine_->enabled();
-    if ((combining || options_.sort_values) && entry.value_count > 1) {
-      // Combining and value sorting need materialized std::strings; the
-      // scratch vector is reused across entries. Single-value entries —
-      // the bulk of a skewed stream's key tail — skip both: a one-element
-      // list is already sorted, and the MapReduce combiner contract (it
-      // may run zero or more times) makes the combiner a no-op on a
-      // single value.
-      scratch_.clear();
-      auto cursor = entry.flat->values;
-      while (auto v = cursor.next()) scratch_.emplace_back(*v);
-      if (combining) combine_->combine(entry.key, scratch_);
-      append_group(p, entry.key, scratch_);
-      return;
-    }
-    // No combining, no sorting: on the kKvList layout the slab chain
-    // already holds the frame's wire format, so the spill block-copies it
-    // straight into the partition frame — each byte moves exactly once,
-    // with no per-value re-encode.
-    auto& w = writers_[p];
-    if (layout_ == Layout::kKvList) {
-      w.list.begin_group(entry.key, entry.value_count);
-      auto cursor = entry.flat->values;
-      cursor.drain_to(w.list);
-    } else {
-      auto cursor = entry.flat->values;
-      while (auto v = cursor.next()) w.pair.append(entry.key, *v);
-    }
-    counters_->pairs_after_combine += entry.value_count;
-    maybe_flush(p);
+  const bool combining = combine_ != nullptr && combine_->enabled();
+  if ((combining || options_.sort_values) && entry.value_count > 1) {
+    // Combining and value sorting need materialized std::strings; the
+    // scratch vector is reused across entries. Single-value entries — the
+    // bulk of a skewed stream's key tail — skip both: a one-element list
+    // is already sorted, and the MapReduce combiner contract (it may run
+    // zero or more times) makes the combiner a no-op on a single value.
+    scratch_.clear();
+    auto cursor = entry.values;
+    while (auto v = cursor.next()) scratch_.emplace_back(*v);
+    if (combining) combine_->combine(entry.key, scratch_);
+    append_group(p, entry.key, scratch_);
     return;
   }
-  if (combine_ != nullptr && combine_->enabled() && entry.values->size() > 1) {
-    combine_->combine(entry.key, *entry.values);
+  // No combining, no sorting: on the kKvList layout the slab chain already
+  // holds the frame's wire format, so the spill block-copies it straight
+  // into the partition frame — each byte moves exactly once, with no
+  // per-value re-encode.
+  auto& w = writers_[p];
+  auto cursor = entry.values;
+  if (layout_ == Layout::kKvList) {
+    w.list.begin_group(entry.key, entry.value_count);
+    cursor.drain_to(w.list);
+  } else {
+    while (auto v = cursor.next()) w.pair.append(entry.key, *v);
   }
-  append_group(p, entry.key, *entry.values);
+  counters_->pairs_after_combine += entry.value_count;
+  maybe_flush(p);
 }
 
 void SpillEncoder::append_group(std::uint32_t partition, std::string_view key,

@@ -1,6 +1,6 @@
-// Differential tests of the arena-backed combine path (satellite of the
-// KvCombineTable change): the flat table and the legacy node-based
-// unordered_map must be observationally identical.
+// Differential tests of the arena-backed combine path: the flat table must
+// be observationally identical to a reference buffer with the legacy
+// node-based semantics it replaced.
 //
 // Two layers:
 //   1. Table-level: drive KvCombineTable and a reference buffer (insertion
@@ -8,8 +8,8 @@
 //      same seeded pair streams — uniform and Zipf keys, combiner on/off,
 //      forced spills — and assert the realigned per-partition frames are
 //      byte-identical, spill round by spill round.
-//   2. Job-level: run the same MpiD wordcount with flat_combine_table on
-//      and off under spill pressure and assert identical reduced outputs.
+//   2. Job-level: run an MpiD wordcount under spill pressure and assert
+//      its reduced counts equal a serial count of the same streams.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -214,14 +214,25 @@ TEST_P(CombineDifferentialTest, SpillFramesAreByteIdentical) {
   EXPECT_GT(spill_rounds, 10u);
 }
 
-/// Job-level parity: the same wordcount, flat table on vs off, under spill
-/// pressure (tiny thresholds force many spill/realign rounds).
-std::map<std::string, std::uint64_t> run_job(bool flat, bool combiner,
-                                             bool sort_keys) {
+constexpr int kJobMappers = 3;
+constexpr int kJobPairsPerMapper = 4000;
+
+/// Mapper `m`'s word stream in the job-level check.
+template <typename Fn>
+void job_stream(int m, Fn&& emit) {
+  common::Xoshiro256StarStar rng(900 + m);
+  common::ZipfSampler zipf(200, 1.2);
+  for (int i = 0; i < kJobPairsPerMapper; ++i) {
+    emit("word-" + std::to_string(zipf(rng)));
+  }
+}
+
+/// The job-level check's wordcount under spill pressure (tiny thresholds
+/// force many spill/realign rounds).
+std::map<std::string, std::uint64_t> run_job(bool combiner, bool sort_keys) {
   Config cfg;
-  cfg.mappers = 3;
+  cfg.mappers = kJobMappers;
   cfg.reducers = 2;
-  cfg.flat_combine_table = flat;
   cfg.sort_keys = sort_keys;
   cfg.spill_threshold_bytes = 2 * 1024;
   cfg.partition_frame_bytes = 512;
@@ -233,11 +244,8 @@ std::map<std::string, std::uint64_t> run_job(bool flat, bool combiner,
     MpiD d(comm, cfg);
     switch (d.role()) {
       case Role::kMapper: {
-        common::Xoshiro256StarStar rng(900 + d.mapper_index());
-        common::ZipfSampler zipf(200, 1.2);
-        for (int i = 0; i < 4000; ++i) {
-          d.send("word-" + std::to_string(zipf(rng)), "1");
-        }
+        job_stream(d.mapper_index(),
+                   [&](const std::string& word) { d.send(word, "1"); });
         d.finalize();
         break;
       }
@@ -258,14 +266,15 @@ std::map<std::string, std::uint64_t> run_job(bool flat, bool combiner,
   return merged;
 }
 
-TEST(CombineDifferential, JobOutputsMatchFlatOnAndOff) {
+TEST(CombineDifferential, JobOutputsMatchSerialReference) {
+  std::map<std::string, std::uint64_t> want;
+  for (int m = 0; m < kJobMappers; ++m) {
+    job_stream(m, [&](const std::string& word) { ++want[word]; });
+  }
   for (const bool combiner : {false, true}) {
     for (const bool sort_keys : {false, true}) {
-      const auto flat = run_job(true, combiner, sort_keys);
-      const auto legacy = run_job(false, combiner, sort_keys);
-      EXPECT_EQ(flat, legacy) << "combiner=" << combiner
-                              << " sort_keys=" << sort_keys;
-      EXPECT_FALSE(flat.empty());
+      EXPECT_EQ(run_job(combiner, sort_keys), want)
+          << "combiner=" << combiner << " sort_keys=" << sort_keys;
     }
   }
 }
@@ -274,7 +283,6 @@ TEST(CombineDifferential, FlatPathReportsArenaStats) {
   Config cfg;
   cfg.mappers = 1;
   cfg.reducers = 1;
-  cfg.flat_combine_table = true;  // this test probes the flat path's stats
   cfg.spill_threshold_bytes = 1024;
   cfg.combiner = sum_combiner();
 

@@ -344,14 +344,6 @@ TEST(MpiD, CodedConfigValidation) {
     non_dividing.coded_replication = 3;  // 3 does not divide 4
     EXPECT_NE(message_for(non_dividing).find("must divide the reducer count"),
               std::string::npos);
-
-    Config with_direct = base;
-    with_direct.coded_replication = 2;
-    with_direct.direct_realign = true;
-    const auto msg = message_for(with_direct);
-    EXPECT_NE(msg.find("incompatible with direct_realign"), std::string::npos)
-        << msg;
-    EXPECT_NE(msg.find("buffered spill pipeline"), std::string::npos) << msg;
   });
 }
 

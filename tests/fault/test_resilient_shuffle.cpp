@@ -164,15 +164,12 @@ TEST(ResilientShuffle, ProbabilisticCrashesEventuallySucceed) {
 }
 
 TEST(ResilientShuffle, FlatCombineTableSurvivesFaults) {
-  // The arena-backed combine buffer (flat_combine_table) must interact
-  // correctly with recovery: a restarted mapper recycles its table and
-  // re-emits, and the faulted run still matches a fault-free run on the
-  // legacy node-based buffer.
+  // The arena-backed combine buffer must interact correctly with
+  // recovery: a restarted mapper recycles its table and re-emits, and the
+  // faulted run still matches a fault-free run.
   const auto text = synthetic_text(400, 8);
   JobRunner runner(3, 2);
-  JobDef legacy = wordcount_job();
-  legacy.tuning.flat_combine_table = false;
-  const auto baseline = runner.run_on_text(legacy, text);
+  const auto baseline = runner.run_on_text(wordcount_job(), text);
 
   fault::FaultPlan plan;
   plan.seed = 21;
@@ -180,9 +177,7 @@ TEST(ResilientShuffle, FlatCombineTableSurvivesFaults) {
   plan.message_corrupt_prob = 0.05;
   plan.scripted_crashes.push_back({fault::TaskKind::kMap, 0, 0, 7});
   auto inj = std::make_shared<fault::FaultInjector>(plan);
-  JobDef job = resilient_job(inj);
-  job.tuning.flat_combine_table = true;
-  const auto faulted = runner.run_on_text(job, text);
+  const auto faulted = runner.run_on_text(resilient_job(inj), text);
 
   EXPECT_EQ(baseline.outputs, faulted.outputs);
   EXPECT_EQ(faulted.report.totals.task_restarts, 1u);

@@ -4,11 +4,9 @@
 // framing; MiniHadoop: flat KvPair segments, unbounded flush, flagged
 // codec framing), must produce the same realigned data for the same
 // emitted stream over every knob combination —
-//   {flat_combine_table on/off} x {compression off/auto/on} x
-//   {combiner on/off}.
-// Within one runtime shape, the flat and legacy buffers must produce
-// byte-identical wire frames, and compression must be wire-only: the
-// decoded frames are byte-identical to the uncompressed run's.
+//   {compression off/auto/on} x {combiner on/off}.
+// Compression must be wire-only: the decoded frames are byte-identical to
+// the uncompressed run's.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -120,17 +118,11 @@ std::vector<std::pair<std::string, std::string>> make_stream() {
 }
 
 /// Runs the full shared pipeline — buffer, combiner, partitioner, spill
-/// encoder, codec — the way `shape` wires it, over `stream`. When
-/// `spill_every` is non-zero, spills happen at fixed stream positions
-/// instead of via should_spill(): the flat and legacy buffers account
-/// bytes differently (exact arena bytes vs per-entry estimate), so only a
-/// position-driven cadence makes their spill rounds — and hence their
-/// wire frames — comparable byte for byte.
+/// encoder, codec — the way `shape` wires it, over `stream`.
 RunResult run_pipeline(const RuntimeShape& shape,
                        const shuffle::ShuffleOptions& opts, bool with_combiner,
                        const std::vector<std::pair<std::string, std::string>>&
-                           stream,
-                       std::size_t spill_every = 0) {
+                           stream) {
   RunResult result;
   shuffle::CombineRunner combine(
       with_combiner
@@ -162,22 +154,17 @@ RunResult run_pipeline(const RuntimeShape& shape,
   };
   shuffle::SpillEncoder encoder(opts, setup);
 
-  std::size_t appended = 0;
   for (const auto& [k, v] : stream) {
     buffer.append(k, v);
-    ++appended;
-    const bool due = spill_every != 0 ? appended % spill_every == 0
-                                      : buffer.should_spill();
-    if (due) encoder.spill(buffer);
+    if (buffer.should_spill()) encoder.spill(buffer);
   }
   encoder.spill(buffer);
   encoder.flush_all();
   return result;
 }
 
-shuffle::ShuffleOptions options_for(bool flat, ShuffleCompression mode) {
+shuffle::ShuffleOptions options_for(ShuffleCompression mode) {
   shuffle::ShuffleOptions opts;
-  opts.flat_combine_table = flat;
   opts.shuffle_compression = mode;
   opts.spill_threshold_bytes = 4 * 1024;  // several spill rounds per run
   opts.partition_frame_bytes = 2 * 1024;  // several frames per partition
@@ -189,17 +176,16 @@ shuffle::ShuffleOptions options_for(bool flat, ShuffleCompression mode) {
 TEST(ShuffleEngineParityTest, RuntimesRealignIdenticallyAcrossAllKnobs) {
   const auto stream = make_stream();
   for (const bool combiner : {false, true}) {
-    for (const bool flat : {false, true}) {
+    {
       for (const auto mode :
            {ShuffleCompression::kOff, ShuffleCompression::kAuto,
             ShuffleCompression::kOn}) {
-        const auto opts = options_for(flat, mode);
+        const auto opts = options_for(mode);
         const auto mpid = run_pipeline(kMpidShape, opts, combiner, stream);
         const auto mini =
             run_pipeline(kMiniHadoopShape, opts, combiner, stream);
         const std::string label =
             std::string("combiner=") + (combiner ? "1" : "0") +
-            " flat=" + (flat ? "1" : "0") +
             " mode=" + std::to_string(static_cast<int>(mode));
 
         // Identical emitted streams through identical buffer and combine
@@ -227,55 +213,17 @@ TEST(ShuffleEngineParityTest, RuntimesRealignIdenticallyAcrossAllKnobs) {
   }
 }
 
-TEST(ShuffleEngineParityTest, FlatAndLegacyBuffersProduceIdenticalWireBytes) {
-  const auto stream = make_stream();
-  for (const auto& shape : {kMpidShape, kMiniHadoopShape}) {
-    for (const bool combiner : {false, true}) {
-      for (const auto mode :
-           {ShuffleCompression::kOff, ShuffleCompression::kAuto,
-            ShuffleCompression::kOn}) {
-        // Fixed spill positions (several rounds over the 3000-pair
-        // stream) so both buffer modes drain identical rounds.
-        constexpr std::size_t kSpillEvery = 500;
-        const auto flat_run = run_pipeline(shape, options_for(true, mode),
-                                           combiner, stream, kSpillEvery);
-        const auto legacy_run = run_pipeline(shape, options_for(false, mode),
-                                             combiner, stream, kSpillEvery);
-        const std::string label = std::string(shape.name) +
-                                  " combiner=" + (combiner ? "1" : "0") +
-                                  " mode=" +
-                                  std::to_string(static_cast<int>(mode));
-        ASSERT_EQ(flat_run.wire.size(), legacy_run.wire.size()) << label;
-        for (const auto& [p, frames] : flat_run.wire) {
-          const auto& legacy_frames = legacy_run.wire.at(p);
-          ASSERT_EQ(frames.size(), legacy_frames.size())
-              << label << " partition " << p;
-          for (std::size_t i = 0; i < frames.size(); ++i) {
-            EXPECT_EQ(frames[i].bytes, legacy_frames[i].bytes)
-                << label << " partition " << p << " frame " << i;
-            EXPECT_EQ(frames[i].codec_framed, legacy_frames[i].codec_framed)
-                << label << " partition " << p << " frame " << i;
-          }
-        }
-        EXPECT_EQ(flat_run.counters.pairs_after_combine,
-                  legacy_run.counters.pairs_after_combine)
-            << label;
-      }
-    }
-  }
-}
-
 TEST(ShuffleEngineParityTest, CompressionIsWireOnly) {
   const auto stream = make_stream();
   for (const auto& shape : {kMpidShape, kMiniHadoopShape}) {
     for (const bool combiner : {false, true}) {
       const auto off = run_pipeline(
-          shape, options_for(true, ShuffleCompression::kOff), combiner,
+          shape, options_for(ShuffleCompression::kOff), combiner,
           stream);
       for (const auto mode :
            {ShuffleCompression::kAuto, ShuffleCompression::kOn}) {
         const auto compressed =
-            run_pipeline(shape, options_for(true, mode), combiner, stream);
+            run_pipeline(shape, options_for(mode), combiner, stream);
         for (std::uint32_t p = 0; p < kPartitions; ++p) {
           EXPECT_EQ(off.raw_of(p), compressed.raw_of(p))
               << shape.name << " mode=" << static_cast<int>(mode)
@@ -342,11 +290,11 @@ TEST(ShuffleEngineParityTest, ThreadCountPreservesWireBytesOnBothRuntimes) {
   const auto stream = make_stream();
   for (const auto& shape : {kMpidShape, kMiniHadoopShape}) {
     for (const bool combiner : {false, true}) {
-      for (const bool flat : {false, true}) {
+      {
         for (const auto mode :
              {ShuffleCompression::kOff, ShuffleCompression::kAuto,
               ShuffleCompression::kOn}) {
-          const auto opts = options_for(flat, mode);
+          const auto opts = options_for(mode);
           const auto base =
               run_parallel_pipeline(shape, opts, combiner, 1, stream);
           for (const std::size_t threads : {2u, 4u}) {
@@ -356,7 +304,6 @@ TEST(ShuffleEngineParityTest, ThreadCountPreservesWireBytesOnBothRuntimes) {
                 std::string(shape.name) + " threads=" +
                 std::to_string(threads) +
                 " combiner=" + (combiner ? "1" : "0") +
-                " flat=" + (flat ? "1" : "0") +
                 " mode=" + std::to_string(static_cast<int>(mode));
             ASSERT_EQ(run.wire.size(), base.wire.size()) << label;
             for (const auto& [p, frames] : base.wire) {
@@ -393,7 +340,6 @@ TEST(ShuffleEngineParityTest, RuntimeConfigsInheritTheSameShuffleDefaults) {
   EXPECT_EQ(a.inline_combine_threshold, b.inline_combine_threshold);
   EXPECT_EQ(a.sort_values, b.sort_values);
   EXPECT_EQ(a.sort_keys, b.sort_keys);
-  EXPECT_EQ(a.flat_combine_table, b.flat_combine_table);
   EXPECT_EQ(a.shuffle_compression, b.shuffle_compression);
   EXPECT_EQ(a.compress_min_frame_bytes, b.compress_min_frame_bytes);
   EXPECT_EQ(a.compress_skip_ratio, b.compress_skip_ratio);

@@ -195,38 +195,6 @@ TEST(MiniHadoop, CombinerShrinksShuffleVolume) {
             parse_outputs(fs, comb.output_files));
 }
 
-TEST(MiniHadoop, FlatAndLegacyCombineBuffersAgree) {
-  // A/B of the arena-backed combine table against the legacy node-based
-  // buffer, combiner on and off: outputs and pair counts must match.
-  dfs::MiniDfs fs(2);
-  const auto text = workloads::generate_text({}, 120 * 1024, 91);
-  fs.create("/in", text);
-  MiniCluster cluster(fs, 2);
-
-  for (const bool combiner : {false, true}) {
-    MiniJobConfig base;
-    base.map = wordcount_map();
-    base.reduce = wordcount_reduce();
-    if (combiner) base.combiner = sum_combiner();
-    base.input_path = "/in";
-    base.map_tasks = 4;
-    base.reduce_tasks = 2;
-
-    MiniJobConfig flat = base;
-    flat.flat_combine_table = true;
-    flat.output_prefix = combiner ? "/out-flat-c" : "/out-flat";
-    MiniJobConfig legacy = base;
-    legacy.flat_combine_table = false;
-    legacy.output_prefix = combiner ? "/out-legacy-c" : "/out-legacy";
-
-    const auto flat_summary = cluster.run(flat);
-    const auto legacy_summary = cluster.run(legacy);
-    EXPECT_EQ(parse_outputs(fs, flat_summary.output_files),
-              parse_outputs(fs, legacy_summary.output_files));
-    EXPECT_EQ(flat_summary.map_output_pairs, legacy_summary.map_output_pairs);
-  }
-}
-
 TEST(MiniHadoop, EmptyInputProducesEmptyOutput) {
   dfs::MiniDfs fs(2);
   fs.create("/empty", "");

@@ -1,9 +1,12 @@
-// MapOutputBuffer: the flat combine table and the legacy node-based
-// buffer must be observationally interchangeable — same drain order, same
-// groups, same combine trigger points — since flat_combine_table is a
-// performance A/B knob, not a semantics knob.
+// MapOutputBuffer: drain order, grouping, combine trigger points and spill
+// accounting. The buffer (a flat KvCombineTable) is checked against a
+// reference that restates the legacy node-based buffer it replaced —
+// first-insertion-ordered keys, one std::vector of values per key, the
+// same incremental-combine trigger — and lives only in this test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -17,11 +20,42 @@ namespace {
 
 using Groups = std::vector<std::pair<std::string, std::vector<std::string>>>;
 
-ShuffleOptions options_for(bool flat) {
-  ShuffleOptions opts;
-  opts.flat_combine_table = flat;
-  return opts;
-}
+/// The legacy buffer's semantics: groups in first-insertion order behind a
+/// std::map index, combined in place once a list reaches the threshold.
+class ReferenceBuffer {
+ public:
+  explicit ReferenceBuffer(Combiner combiner = {}, std::size_t threshold = 0)
+      : combiner_(std::move(combiner)), threshold_(threshold) {}
+
+  void append(std::string_view key, std::string_view value) {
+    const auto [it, inserted] =
+        index_.try_emplace(std::string(key), groups_.size());
+    if (inserted) {
+      groups_.emplace_back(std::string(key), std::vector<std::string>{});
+    }
+    auto& values = groups_[it->second].second;
+    values.emplace_back(value);
+    if (combiner_ && threshold_ > 0 && values.size() >= threshold_) {
+      values = combiner_(key, std::move(values));
+    }
+  }
+
+  Groups groups(bool sorted) const {
+    Groups out = groups_;
+    if (sorted) {
+      std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+        return a.first < b.first;
+      });
+    }
+    return out;
+  }
+
+ private:
+  Combiner combiner_;
+  std::size_t threshold_;
+  Groups groups_;
+  std::map<std::string, std::size_t> index_;
+};
 
 /// Drains `buffer` into owned (key, values) groups.
 Groups drain_groups(MapOutputBuffer& buffer, bool sorted) {
@@ -29,19 +63,16 @@ Groups drain_groups(MapOutputBuffer& buffer, bool sorted) {
   buffer.drain(sorted, [&](const MapOutputBuffer::Entry& e) {
     EXPECT_EQ(e.key_hash, common::fnv1a64(e.key));
     std::vector<std::string> values;
-    if (e.flat != nullptr) {
-      auto cursor = e.flat->values;
-      while (auto v = cursor.next()) values.emplace_back(*v);
-    } else {
-      values = *e.values;
-    }
+    auto cursor = e.values;
+    while (auto v = cursor.next()) values.emplace_back(*v);
     EXPECT_EQ(values.size(), e.value_count);
     out.emplace_back(std::string(e.key), std::move(values));
   });
   return out;
 }
 
-void feed(MapOutputBuffer& buffer) {
+template <typename Buffer>
+void feed(Buffer& buffer) {
   buffer.append("banana", "1");
   buffer.append("apple", "2");
   buffer.append("banana", "3");
@@ -50,20 +81,26 @@ void feed(MapOutputBuffer& buffer) {
   buffer.append("banana", "6");
 }
 
+Combiner sum_combiner() {
+  return [](std::string_view, std::vector<std::string>&& values) {
+    std::uint64_t total = 0;
+    for (const auto& v : values) total += std::stoull(v);
+    return std::vector<std::string>{std::to_string(total)};
+  };
+}
+
 TEST(MapOutputBufferTest, FlatAndLegacyDrainTheSameGroupsInInsertionOrder) {
+  ReferenceBuffer reference;
+  feed(reference);
   for (const bool sorted : {false, true}) {
-    Groups per_mode[2];
-    for (const bool flat : {false, true}) {
-      const auto opts = options_for(flat);
-      ShuffleCounters counters;
-      MapOutputBuffer buffer(opts, nullptr, &counters);
-      feed(buffer);
-      per_mode[flat] = drain_groups(buffer, sorted);
-      EXPECT_TRUE(buffer.empty());
-      EXPECT_EQ(counters.spills, 1u);
-    }
-    EXPECT_EQ(per_mode[0], per_mode[1]) << "sorted=" << sorted;
-    const Groups& groups = per_mode[0];
+    const ShuffleOptions opts;
+    ShuffleCounters counters;
+    MapOutputBuffer buffer(opts, nullptr, &counters);
+    feed(buffer);
+    const Groups groups = drain_groups(buffer, sorted);
+    EXPECT_TRUE(buffer.empty());
+    EXPECT_EQ(counters.spills, 1u);
+    EXPECT_EQ(groups, reference.groups(sorted)) << "sorted=" << sorted;
     ASSERT_EQ(groups.size(), 3u);
     if (sorted) {
       EXPECT_EQ(groups[0].first, "apple");
@@ -76,93 +113,83 @@ TEST(MapOutputBufferTest, FlatAndLegacyDrainTheSameGroupsInInsertionOrder) {
 }
 
 TEST(MapOutputBufferTest, InlineCombineTriggersAtTheSamePointInBothModes) {
-  for (const bool flat : {false, true}) {
-    auto opts = options_for(flat);
-    opts.inline_combine_threshold = 3;
-    ShuffleCounters counters;
-    CombineRunner combine(
-        [](std::string_view, std::vector<std::string>&& values) {
-          std::uint64_t total = 0;
-          for (const auto& v : values) total += std::stoull(v);
-          return std::vector<std::string>{std::to_string(total)};
-        },
-        &counters);
-    MapOutputBuffer buffer(opts, &combine, &counters);
-    for (int i = 0; i < 8; ++i) buffer.append("k", "1");
-    const auto groups = drain_groups(buffer, false);
-    ASSERT_EQ(groups.size(), 1u);
-    // The list re-combines whenever it reaches 3 values: {1,1,1}→"3",
-    // {3,1,1}→"5", {5,1,1}→"7"; the eighth value stays uncombined, so the
-    // drain sees the partial-combine state.
-    EXPECT_EQ(groups[0].second, (std::vector<std::string>{"7", "1"}))
-        << "flat=" << flat;
+  ShuffleOptions opts;
+  opts.inline_combine_threshold = 3;
+  ShuffleCounters counters;
+  CombineRunner combine(sum_combiner(), &counters);
+  MapOutputBuffer buffer(opts, &combine, &counters);
+  ReferenceBuffer reference(sum_combiner(), 3);
+  for (int i = 0; i < 8; ++i) {
+    buffer.append("k", "1");
+    reference.append("k", "1");
   }
+  const auto groups = drain_groups(buffer, false);
+  ASSERT_EQ(groups.size(), 1u);
+  // The list re-combines whenever it reaches 3 values: {1,1,1}→"3",
+  // {3,1,1}→"5", {5,1,1}→"7"; the eighth value stays uncombined, so the
+  // drain sees the partial-combine state.
+  EXPECT_EQ(groups[0].second, (std::vector<std::string>{"7", "1"}));
+  EXPECT_EQ(groups, reference.groups(false));
 }
 
 TEST(MapOutputBufferTest, ShouldSpillTracksBytesUsed) {
-  for (const bool flat : {false, true}) {
-    auto opts = options_for(flat);
-    opts.spill_threshold_bytes = 64;
-    ShuffleCounters counters;
-    MapOutputBuffer buffer(opts, nullptr, &counters);
-    EXPECT_FALSE(buffer.should_spill());
-    while (!buffer.should_spill()) {
-      buffer.append("key", "0123456789");
-    }
-    EXPECT_GE(buffer.bytes_used(), 64u);
-    drain_groups(buffer, false);
-    EXPECT_EQ(buffer.bytes_used(), 0u);
-    EXPECT_FALSE(buffer.should_spill());
-    EXPECT_GE(counters.table_bytes_peak, 64u);
+  ShuffleOptions opts;
+  opts.spill_threshold_bytes = 64;
+  ShuffleCounters counters;
+  MapOutputBuffer buffer(opts, nullptr, &counters);
+  EXPECT_FALSE(buffer.should_spill());
+  while (!buffer.should_spill()) {
+    buffer.append("key", "0123456789");
   }
+  EXPECT_GE(buffer.bytes_used(), 64u);
+  drain_groups(buffer, false);
+  EXPECT_EQ(buffer.bytes_used(), 0u);
+  EXPECT_FALSE(buffer.should_spill());
+  EXPECT_GE(counters.table_bytes_peak, 64u);
 }
 
 TEST(MapOutputBufferTest, ClearDiscardsWithoutCountingASpill) {
-  for (const bool flat : {false, true}) {
-    const auto opts = options_for(flat);
-    ShuffleCounters counters;
-    MapOutputBuffer buffer(opts, nullptr, &counters);
-    feed(buffer);
-    buffer.clear();
-    EXPECT_TRUE(buffer.empty());
-    EXPECT_EQ(counters.spills, 0u);
-    // The buffer is reusable after a clear (task restart).
-    feed(buffer);
-    EXPECT_EQ(drain_groups(buffer, false).size(), 3u);
-  }
+  const ShuffleOptions opts;
+  ShuffleCounters counters;
+  MapOutputBuffer buffer(opts, nullptr, &counters);
+  feed(buffer);
+  buffer.clear();
+  EXPECT_TRUE(buffer.empty());
+  EXPECT_EQ(counters.spills, 0u);
+  // The buffer is reusable after a clear (task restart).
+  feed(buffer);
+  EXPECT_EQ(drain_groups(buffer, false).size(), 3u);
 }
 
 TEST(MapOutputBufferTest, DrainEmptiesTheBufferEvenWhenTheCallbackThrows) {
-  for (const bool flat : {false, true}) {
-    const auto opts = options_for(flat);
-    ShuffleCounters counters;
-    MapOutputBuffer buffer(opts, nullptr, &counters);
-    feed(buffer);
-    EXPECT_THROW(buffer.drain(false,
-                              [](const MapOutputBuffer::Entry&) {
-                                throw std::runtime_error("crash mid-drain");
-                              }),
-                 std::runtime_error);
-    EXPECT_TRUE(buffer.empty()) << "flat=" << flat;
-  }
+  const ShuffleOptions opts;
+  ShuffleCounters counters;
+  MapOutputBuffer buffer(opts, nullptr, &counters);
+  feed(buffer);
+  EXPECT_THROW(buffer.drain(false,
+                            [](const MapOutputBuffer::Entry&) {
+                              throw std::runtime_error("crash mid-drain");
+                            }),
+               std::runtime_error);
+  EXPECT_TRUE(buffer.empty());
 }
 
 TEST(MapOutputBufferTest, ForEachGroupMatchesAcrossModesAndDoesNotDrain) {
+  ReferenceBuffer reference;
+  feed(reference);
   for (const bool sorted : {false, true}) {
-    Groups per_mode[2];
-    for (const bool flat : {false, true}) {
-      const auto opts = options_for(flat);
-      ShuffleCounters counters;
-      MapOutputBuffer buffer(opts, nullptr, &counters);
-      feed(buffer);
-      buffer.for_each_group(
-          sorted, [&](std::string_view key, const std::vector<std::string>& v) {
-            per_mode[flat].emplace_back(std::string(key), v);
-          });
-      EXPECT_FALSE(buffer.empty());
-      EXPECT_EQ(counters.spills, 0u);
-    }
-    EXPECT_EQ(per_mode[0], per_mode[1]) << "sorted=" << sorted;
+    const ShuffleOptions opts;
+    ShuffleCounters counters;
+    MapOutputBuffer buffer(opts, nullptr, &counters);
+    feed(buffer);
+    Groups groups;
+    buffer.for_each_group(
+        sorted, [&](std::string_view key, const std::vector<std::string>& v) {
+          groups.emplace_back(std::string(key), v);
+        });
+    EXPECT_FALSE(buffer.empty());
+    EXPECT_EQ(counters.spills, 0u);
+    EXPECT_EQ(groups, reference.groups(sorted)) << "sorted=" << sorted;
   }
 }
 

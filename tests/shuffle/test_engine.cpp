@@ -139,37 +139,6 @@ TEST(SpillEncoderTest, UnboundedKvPairAccumulatesOneFramePerPartition) {
   EXPECT_EQ(total_pairs, input.size());
 }
 
-TEST(SpillEncoderTest, EmitDirectMatchesTheBufferedPath) {
-  ShuffleOptions opts;
-  const auto input = make_input(200);
-
-  CapturedFrames direct;
-  ShuffleCounters direct_counters;
-  SpillEncoder direct_encoder(
-      opts, setup_for(Layout::kKvList, 0, direct, direct_counters));
-  for (const auto& [k, v] : input) direct_encoder.emit_direct(k, v);
-  direct_encoder.flush_all();
-
-  CapturedFrames buffered;
-  ShuffleCounters buffered_counters;
-  SpillEncoder buffered_encoder(
-      opts, setup_for(Layout::kKvList, 0, buffered, buffered_counters));
-  MapOutputBuffer buffer(opts, nullptr, &buffered_counters);
-  for (const auto& [k, v] : input) buffer.append(k, v);
-  buffered_encoder.spill(buffer);
-  buffered_encoder.flush_all();
-
-  for (std::uint32_t p = 0; p < kPartitions; ++p) {
-    auto a = direct.pairs_of(p, Layout::kKvList);
-    auto b = buffered.pairs_of(p, Layout::kKvList);
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    EXPECT_EQ(a, b) << "partition " << p;
-  }
-  EXPECT_EQ(direct_counters.pairs_after_combine,
-            buffered_counters.pairs_after_combine);
-}
-
 TEST(SpillEncoderTest, SpillTimeCombineCollapsesValueLists) {
   ShuffleOptions opts;
   CapturedFrames captured;
@@ -239,8 +208,11 @@ TEST(SpillEncoderTest, ResetDiscardsPendingFrames) {
   CapturedFrames captured;
   ShuffleCounters counters;
   SpillEncoder encoder(opts,
-                       setup_for(Layout::kKvList, 0, captured, counters));
-  encoder.emit_direct("doomed", "payload");
+                       setup_for(Layout::kKvList, SpillEncoder::kUnboundedFrame,
+                                 captured, counters));
+  MapOutputBuffer buffer(opts, nullptr, &counters);
+  buffer.append("doomed", "payload");
+  encoder.spill(buffer);
   encoder.reset();
   encoder.flush_all();
   EXPECT_TRUE(captured.frames.empty());

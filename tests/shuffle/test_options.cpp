@@ -17,7 +17,6 @@ TEST(ShuffleOptionsTest, DefaultsValidate) {
   EXPECT_EQ(opts.spill_threshold_bytes, 4u * 1024 * 1024);
   EXPECT_EQ(opts.partition_frame_bytes, 256u * 1024);
   EXPECT_EQ(opts.inline_combine_threshold, 64u);
-  EXPECT_TRUE(opts.flat_combine_table);
   EXPECT_EQ(opts.shuffle_compression, ShuffleCompression::kOff);
   EXPECT_EQ(opts.compress_min_frame_bytes, 4096u);
 }
