@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "mpid/dfs/minidfs.hpp"
@@ -64,18 +65,28 @@ std::string corpus(std::uint64_t seed) {
 
 struct Variant {
   shuffle::ShuffleCompression compression;
+  // gtest names each case by printing the parameter's bytes, so the
+  // padding is an explicit zero field: left implicit, it held whatever
+  // was on the stack and the case names changed from run to run.
+  std::uint32_t padding = 0;
   std::size_t map_threads;
 };
+static_assert(std::has_unique_object_representations_v<Variant>);
 
 class NodeAggParityTest : public ::testing::TestWithParam<Variant> {};
 INSTANTIATE_TEST_SUITE_P(
     Matrix, NodeAggParityTest,
     ::testing::Values(
-        Variant{shuffle::ShuffleCompression::kOff, 1},
-        Variant{shuffle::ShuffleCompression::kOff, 4},
-        Variant{shuffle::ShuffleCompression::kAuto, 1},
-        Variant{shuffle::ShuffleCompression::kOn, 1},
-        Variant{shuffle::ShuffleCompression::kOn, 4}));
+        Variant{.compression = shuffle::ShuffleCompression::kOff,
+                .map_threads = 1},
+        Variant{.compression = shuffle::ShuffleCompression::kOff,
+                .map_threads = 4},
+        Variant{.compression = shuffle::ShuffleCompression::kAuto,
+                .map_threads = 1},
+        Variant{.compression = shuffle::ShuffleCompression::kOn,
+                .map_threads = 1},
+        Variant{.compression = shuffle::ShuffleCompression::kOn,
+                .map_threads = 4}));
 
 TEST_P(NodeAggParityTest, MpidAggregatedOutputIsByteIdentical) {
   const auto v = GetParam();

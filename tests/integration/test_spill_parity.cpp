@@ -15,6 +15,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "mpid/dfs/minidfs.hpp"
@@ -75,18 +76,28 @@ void arm_tight_budget(shuffle::ShuffleOptions& opts, const std::string& dir) {
 
 struct Variant {
   shuffle::ShuffleCompression compression;
+  // gtest names each case by printing the parameter's bytes, so the
+  // padding is an explicit zero field: left implicit, it held whatever
+  // was on the stack and the case names changed from run to run.
+  std::uint32_t padding = 0;
   std::size_t map_threads;
 };
+static_assert(std::has_unique_object_representations_v<Variant>);
 
 class SpillParityTest : public ::testing::TestWithParam<Variant> {};
 INSTANTIATE_TEST_SUITE_P(
     Matrix, SpillParityTest,
     ::testing::Values(
-        Variant{shuffle::ShuffleCompression::kOff, 1},
-        Variant{shuffle::ShuffleCompression::kOff, 4},
-        Variant{shuffle::ShuffleCompression::kAuto, 1},
-        Variant{shuffle::ShuffleCompression::kOn, 1},
-        Variant{shuffle::ShuffleCompression::kOn, 4}));
+        Variant{.compression = shuffle::ShuffleCompression::kOff,
+                .map_threads = 1},
+        Variant{.compression = shuffle::ShuffleCompression::kOff,
+                .map_threads = 4},
+        Variant{.compression = shuffle::ShuffleCompression::kAuto,
+                .map_threads = 1},
+        Variant{.compression = shuffle::ShuffleCompression::kOn,
+                .map_threads = 1},
+        Variant{.compression = shuffle::ShuffleCompression::kOn,
+                .map_threads = 4}));
 
 TEST_P(SpillParityTest, MpidBudgetedOutputIsByteIdentical) {
   const auto v = GetParam();
