@@ -187,8 +187,6 @@ void BM_KvCombineTable(benchmark::State& state) {
       static_cast<double>(table.counters().rehashes);
   state.counters["block_reuses"] =
       static_cast<double>(table.counters().block_reuses);
-  state.counters["arena_recycles"] =
-      static_cast<double>(table.counters().recycles);
 }
 BENCHMARK(BM_KvCombineTable)
     ->Args({0, 0})

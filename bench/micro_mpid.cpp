@@ -139,7 +139,7 @@ void BM_MpidWordCount(benchmark::State& state) {
   job.tuning.reduce_threads = threads;
 
   std::uint64_t sent_bytes = 0, sent_pairs = 0, stall_ns = 0;
-  std::uint64_t combine_ns = 0, spill_ns = 0, table_peak = 0, recycles = 0;
+  std::uint64_t combine_ns = 0, spill_ns = 0, table_peak = 0;
   for (auto _ : state) {
     const auto result = runner.run_on_text(job, text);
     benchmark::DoNotOptimize(result.outputs.size());
@@ -149,7 +149,6 @@ void BM_MpidWordCount(benchmark::State& state) {
     combine_ns += result.report.totals.combine_ns;
     spill_ns += result.report.totals.spill_ns;
     table_peak = result.report.totals.table_bytes_peak;
-    recycles += result.report.totals.arena_recycles;
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(text.size()));
@@ -159,7 +158,6 @@ void BM_MpidWordCount(benchmark::State& state) {
   state.counters["combine_s"] = static_cast<double>(combine_ns) * 1e-9;
   state.counters["spill_s"] = static_cast<double>(spill_ns) * 1e-9;
   state.counters["table_bytes_peak"] = static_cast<double>(table_peak);
-  state.counters["arena_recycles"] = static_cast<double>(recycles);
 }
 BENCHMARK(BM_MpidWordCount)
     ->Args({0, 1})

@@ -87,29 +87,33 @@ import json, sys
 
 baseline_path, fresh_path, tolerance = sys.argv[1], sys.argv[2], float(sys.argv[3])
 
+NS_PER_UNIT = {"ns": 1, "us": 1e3, "ms": 1e6, "s": 1e9}
+
 def times(path):
-    """name -> min real_time over the run's repetitions."""
+    """name -> (min real_time over the run's repetitions, its time_unit)."""
     with open(path) as f:
         doc = json.load(f)
     out = {}
     for b in doc.get("benchmarks", []):
         if b.get("run_type", "iteration") != "iteration":
             continue  # skip mean/median/stddev aggregate rows
-        t = b["real_time"]
+        t, unit = b["real_time"], b.get("time_unit", "ns")
         name = b["name"]
-        out[name] = min(out.get(name, t), t)
+        if name not in out or t < out[name][0]:
+            out[name] = (t, unit)
     return out
 
 base, fresh = times(baseline_path), times(fresh_path)
 regressions = []
-for name, t in sorted(fresh.items()):
-    ref = base.get(name)
-    if ref is None or ref <= 0:
+for name, (t, unit) in sorted(fresh.items()):
+    ref, ref_unit = base.get(name, (0, unit))
+    if ref <= 0:
         print(f"  (new, no baseline) {name}")
         continue
-    ratio = t / ref
+    ratio = (t * NS_PER_UNIT[unit]) / (ref * NS_PER_UNIT[ref_unit])
     marker = "REGRESSION" if ratio > tolerance else "ok"
-    print(f"  {marker:>10}  {name}: {ref:.0f} -> {t:.0f} ns ({ratio:.2f}x)")
+    print(f"  {marker:>10}  {name}: {ref:.1f} {ref_unit} -> {t:.1f} {unit} "
+          f"({ratio:.2f}x)")
     if ratio > tolerance:
         regressions.append(name)
 missing = sorted(set(base) - set(fresh))

@@ -88,7 +88,7 @@ HttpResponse HttpServer::handle(const std::string& request_line) {
   const auto second_space = request_line.find(' ', first_space + 1);
   if (first_space == std::string::npos || second_space == std::string::npos ||
       request_line.substr(0, first_space) != "GET") {
-    return {400, "bad request line"};
+    return {400, "bad request line", {}};
   }
   const std::string target =
       request_line.substr(first_space + 1, second_space - first_space - 1);
@@ -101,7 +101,7 @@ HttpResponse HttpServer::handle(const std::string& request_line) {
   {
     std::lock_guard lock(mu_);
     const auto it = servlets_.find(path);
-    if (it == servlets_.end()) return {404, "no servlet at " + path};
+    if (it == servlets_.end()) return {404, "no servlet at " + path, {}};
     servlet = it->second;
   }
   try {
@@ -110,7 +110,7 @@ HttpResponse HttpServer::handle(const std::string& request_line) {
     ++requests_served_;
     return response;
   } catch (const std::exception& e) {
-    return {500, e.what()};
+    return {500, e.what(), {}};
   }
 }
 

@@ -56,9 +56,6 @@
 
 namespace mpid::mapred {
 
-using KvPair = std::pair<std::string, std::string>;
-using KvVec = std::vector<KvPair>;
-
 /// Named per-round user counters — the convergence currency. A stage
 /// reduce increments them (ChainReduceContext::incr); the chain
 /// aggregates every partition's block at the round barrier and hands the

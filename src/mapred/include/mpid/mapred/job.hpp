@@ -24,12 +24,16 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "mpid/core/config.hpp"
 #include "mpid/mapred/input.hpp"
 
 namespace mpid::mapred {
+
+using KvPair = std::pair<std::string, std::string>;
+using KvVec = std::vector<KvPair>;
 
 class MapContext {
  public:
@@ -65,18 +69,11 @@ class ReduceContext {
   /// Constructed by job runners, not by reduce functions.
   explicit ReduceContext(int reducer_index) : reducer_index_(reducer_index) {}
 
-  /// The pairs emitted so far (read by job runners to collect output).
-  const std::vector<std::pair<std::string, std::string>>& emitted()
-      const noexcept {
-    return outputs_;
-  }
-  std::vector<std::pair<std::string, std::string>> take_emitted() noexcept {
-    return std::move(outputs_);
-  }
+  /// Moves the pairs emitted so far out (job runners collect output).
+  KvVec take_emitted() noexcept { return std::move(outputs_); }
 
  private:
-  friend class JobRunner;
-  std::vector<std::pair<std::string, std::string>> outputs_;
+  KvVec outputs_;
   int reducer_index_;
 };
 
@@ -91,31 +88,29 @@ struct JobDef {
   core::Combiner combiner;
   /// MPI-D tuning; the runner fills in mappers/reducers.
   core::Config tuning;
-  /// Present keys to reduce() in lexicographic order (Hadoop semantics).
-  /// When false, reducer-local hash order is used (faster, unordered).
+  /// Present keys to reduce() in lexicographic order through Hadoop's
+  /// merge phase: mappers ship key-sorted frames (Config::sort_keys) and
+  /// each reducer k-way merges them (core::SortedFrameMerger, whose disk
+  /// tier a memory budget arms). When false, reducers regroup in a hash
+  /// table and reduce in its order. Value order within a key is
+  /// unspecified either way, as in Hadoop.
   bool sorted_reduce = true;
 
-  /// Streaming merge reduce: mappers ship key-sorted frames and reducers
-  /// k-way merge them (core::SortedFrameMerger) instead of materializing
-  /// a hash table of all groups — reducer memory stays bounded by one
-  /// group plus one cursor per frame (Hadoop's merge phase). Implies
-  /// sorted key order at reduce(). Combiner semantics are unchanged.
+  /// Forces sorted_reduce's merge path even when sorted_reduce is false.
+  /// Since every sorted reduce merges, this only forces sorted key order.
   bool streaming_merge_reduce = false;
 };
 
 struct JobResult {
   /// Final output pairs from all reducers, sorted by (key, value).
-  std::vector<std::pair<std::string, std::string>> outputs;
+  KvVec outputs;
   /// The master's aggregated transport statistics.
   core::JobReport report;
 
-  /// Moves the sorted outputs out of the result — the zero-copy
-  /// collection path: reducer contexts move into this vector, and
-  /// take_outputs() moves it to the caller, so no pair is copied after
-  /// reduce() emitted it. The result's outputs are empty afterwards.
-  std::vector<std::pair<std::string, std::string>> take_outputs() noexcept {
-    return std::move(outputs);
-  }
+  /// Moves the sorted outputs out of the result. The reducers' runs are
+  /// merged into them by move, so no pair is copied after reduce()
+  /// emitted it. The result's outputs are empty afterwards.
+  KvVec take_outputs() noexcept { return std::move(outputs); }
 };
 
 /// Runs MapReduce jobs on an in-process MPI-D world of

@@ -1,6 +1,5 @@
 #include "mpid/mapred/chain.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -101,7 +100,7 @@ void ResidentPartition::seal(KvVec pairs, store::MemoryBudget* budget,
   // the next round's map input order is a pure function of this round's
   // output multiset — identical across runtimes, thread counts and the
   // chained/unchained executors.
-  std::sort(pairs.begin(), pairs.end());
+  detail::sort_run(pairs);
   pair_count_ = pairs.size();
   byte_count_ = 0;
   for (const auto& p : pairs) byte_count_ += kv_bytes(p);
@@ -354,30 +353,12 @@ void run_map_side(core::MpiD& mpid, const ChainJob& job,
   detail::run_map_task(mpid, job.tuning, task);
 }
 
-/// Collects one round's shuffle on reducer rank `p`, then runs the stage
-/// reduce in sorted key order. Returns the context holding the emitted
-/// next-resident pairs and the round counters.
-ChainReduceContext run_reduce_side(core::MpiD& mpid, const ChainJob& job,
-                                   const PlanCursor& cur, int round, int p,
-                                   const StaticTables* statics) {
-  detail::ReduceTask task(mpid, job.tuning, /*merge=*/false);
-  task.collect();
-  const ChainStage& stage = job.stages[cur.stage];
-  ChainReduceContext ctx(statics, p, round);
-  // Chains always reduce in sorted key order: the sealed partition must
-  // not depend on hash-table iteration order.
-  task.reduce(/*sorted=*/true,
-              [&](std::string_view key, std::vector<std::string>& values) {
-                stage.reduce(key, values, ctx);
-              });
-  return ctx;
-}
-
-/// One rank's share of one round: a mapper maps; a reducer collects and
-/// reduces, seals its next resident partition and folds the round's
-/// counters. `live` false marks the empty teardown round a converged
-/// chain ends with — the mappers still seal their lanes at the barrier,
-/// so the reducers drain the empty shuffle, but nothing maps or seals.
+/// One rank's share of one round: a mapper maps; a reducer merges the
+/// shuffle, reduces in key order, seals its next resident partition and
+/// folds the round's counters. `live` false marks the empty teardown
+/// round a converged chain ends with — the mappers still seal their
+/// lanes at the barrier, so the reducers drain the empty shuffle, but
+/// nothing maps or seals.
 /// `chained` false is the unchained ablation (see run_map_side).
 void run_round(core::MpiD& mpid, ChainState& state, const ChainJob& job,
                const PlanCursor& cur, int round,
@@ -396,8 +377,12 @@ void run_round(core::MpiD& mpid, ChainState& state, const ChainJob& job,
     }
     case core::Role::kReducer: {
       const int p = mpid.reducer_index();
-      ChainReduceContext ctx =
-          run_reduce_side(mpid, job, cur, round, p, state.statics);
+      detail::ReduceTask task(mpid, job.tuning, /*merge=*/true);
+      task.collect();
+      ChainReduceContext ctx(state.statics, p, round);
+      task.reduce([&](std::string_view key, std::vector<std::string>& values) {
+        job.stages[cur.stage].reduce(key, values, ctx);
+      });
       if (!live) return;
       auto& part = state.resident[static_cast<std::size_t>(p)];
       part.seal(ctx.take_emitted(), state.resident_budget.get(),
@@ -452,20 +437,13 @@ ChainResult assemble_result(ChainState& state, const ChainJob& job,
     result.rounds.push_back(std::move(rr));
     if (!chain_detail::advance_plan(job, cur, state.round_counters[r])) break;
   }
-  // Final outputs: the last round's resident partitions, concatenated
-  // and globally sorted (the JobResult contract). Pairs move end to end
-  // — reducer emit -> seal -> here.
-  std::size_t total = 0;
-  for (auto& part : state.resident) {
-    total += static_cast<std::size_t>(part.pair_count());
-  }
-  result.outputs.reserve(total);
-  for (auto& part : state.resident) {
-    KvVec pairs = part.take();
-    std::move(pairs.begin(), pairs.end(),
-              std::back_inserter(result.outputs));
-  }
-  std::sort(result.outputs.begin(), result.outputs.end());
+  // Final outputs: the last round's resident partitions, each sealed
+  // sorted, merged into the JobResult order. Pairs move end to end —
+  // reducer emit -> seal -> here.
+  std::vector<KvVec> runs;
+  runs.reserve(state.resident.size());
+  for (auto& part : state.resident) runs.push_back(part.take());
+  result.outputs = detail::merge_runs(std::move(runs));
   return result;
 }
 
@@ -489,6 +467,7 @@ ChainResult JobChain::run(const ChainJob& job,
   core::Config config = job.tuning;
   config.mappers = partitions_;
   config.reducers = partitions_;
+  config.sort_keys = true;  // chains always reduce through the merge phase
   // Budget for every barrier the plan can reach: each stage's round
   // allowance plus the empty teardown barrier an early-converged chain
   // needs (the stop decision is only known after the round it stops at).
@@ -550,6 +529,7 @@ ChainResult JobChain::run_unchained(const ChainJob& job,
   core::Config config = job.tuning;
   config.mappers = partitions_;
   config.reducers = partitions_;
+  config.sort_keys = true;
   config.resident_rounds = 1;  // every round is a fresh one-shot world
   config.validate();
 

@@ -1,8 +1,5 @@
 #include "mpid/mapred/job.hpp"
 
-#include <algorithm>
-#include <iterator>
-#include <mutex>
 #include <stdexcept>
 
 #include "mpid/core/mpid.hpp"
@@ -31,11 +28,14 @@ JobResult JobRunner::run(const JobDef& job,
   config.mappers = mappers_;
   config.reducers = reducers_;
   config.combiner = job.combiner;
-  // Streaming merge needs every shipped frame to be one sorted run.
-  if (job.streaming_merge_reduce) config.sort_keys = true;
+  // A sorted reduce is Hadoop's merge phase, and the merge needs every
+  // shipped frame to be one sorted run.
+  const bool merge = job.sorted_reduce || job.streaming_merge_reduce;
+  if (merge) config.sort_keys = true;
 
-  JobResult result;
-  std::mutex result_mu;
+  // Each reducer writes only its own run; run_world's join publishes them.
+  std::vector<KvVec> runs(static_cast<std::size_t>(reducers_));
+  core::JobReport report;
 
   // One split per mapper, filled when its map task loads it. The coded
   // shuffle loads every split up front: each rank that replicates a map
@@ -81,30 +81,29 @@ JobResult JobRunner::run(const JobDef& job,
                 for (std::size_t i = lo; i < hi; ++i) job.map(split[i], ctx);
               });
         }
-        detail::ReduceTask task(mpid, config, job.streaming_merge_reduce);
+        detail::ReduceTask task(mpid, config, merge);
         task.collect();
         mpid.finalize();
 
         ReduceContext ctx(mpid.reducer_index());
-        task.reduce(job.sorted_reduce, [&](std::string_view key,
-                                           std::vector<std::string>& values) {
+        task.reduce([&](std::string_view key, std::vector<std::string>& values) {
           job.reduce(key, values, ctx);
         });
-        std::lock_guard lock(result_mu);
-        std::move(ctx.outputs_.begin(), ctx.outputs_.end(),
-                  std::back_inserter(result.outputs));
+        auto& run = runs[static_cast<std::size_t>(mpid.reducer_index())];
+        run = ctx.take_emitted();
+        detail::sort_run(run);
         break;
       }
-      case core::Role::kMaster: {
+      case core::Role::kMaster:
         mpid.finalize();
-        std::lock_guard lock(result_mu);
-        result.report = mpid.report();
+        report = mpid.report();
         break;
-      }
     }
   });
 
-  std::sort(result.outputs.begin(), result.outputs.end());
+  JobResult result;
+  result.outputs = detail::merge_runs(std::move(runs));
+  result.report = std::move(report);
   return result;
 }
 

@@ -201,24 +201,40 @@ void ReduceTask::collect() {
   }
 }
 
-void ReduceTask::reduce(bool sorted, const GroupFn& fn) {
-  if (merge_) {
-    std::string key;
-    std::vector<std::string> values;
-    while (merger_.next_group(key, values)) fn(key, values);
-    return;
-  }
-  if (!sorted) {
+void ReduceTask::reduce(const GroupFn& fn) {
+  if (!merge_) {
     for (auto& [key, values] : groups_) fn(key, values);
     return;
   }
-  std::vector<decltype(groups_)::value_type*> order;
-  order.reserve(groups_.size());
-  for (auto& group : groups_) order.push_back(&group);
-  std::sort(order.begin(), order.end(), [](const auto* a, const auto* b) {
-    return a->first < b->first;
-  });
-  for (auto* group : order) fn(group->first, group->second);
+  std::string key;
+  std::vector<std::string> values;
+  while (merger_.next_group(key, values)) fn(key, values);
+}
+
+void sort_run(KvVec& run) {
+  if (!std::is_sorted(run.begin(), run.end())) {
+    std::sort(run.begin(), run.end());
+  }
+}
+
+KvVec merge_runs(std::vector<KvVec> runs) {
+  std::erase_if(runs, [](const KvVec& run) { return run.empty(); });
+  // Pairwise passes halve the run count, so each pair moves once per pass.
+  while (runs.size() > 1) {
+    std::vector<KvVec> merged((runs.size() + 1) / 2);
+    for (std::size_t i = 0; i + 1 < runs.size(); i += 2) {
+      auto& out = merged[i / 2];
+      out.reserve(runs[i].size() + runs[i + 1].size());
+      std::merge(std::make_move_iterator(runs[i].begin()),
+                 std::make_move_iterator(runs[i].end()),
+                 std::make_move_iterator(runs[i + 1].begin()),
+                 std::make_move_iterator(runs[i + 1].end()),
+                 std::back_inserter(out));
+    }
+    if (runs.size() % 2 == 1) merged.back() = std::move(runs.back());
+    runs = std::move(merged);
+  }
+  return runs.empty() ? KvVec{} : std::move(runs.front());
 }
 
 }  // namespace mpid::mapred::detail

@@ -5,7 +5,8 @@
 // drivers own everything else. On the map side that is streaming versus
 // loaded input, worker-pool chunks, coded sub-splits, straggler delays,
 // injected crashes and the restart loop. On the reduce side it is the
-// crash/re-pull loop, the merge phase and the key-order regroup.
+// crash/re-pull loop, the merge phase and the unsorted hash regroup; and
+// each runner collects output through sort_run and merge_runs.
 #pragma once
 
 #include <cstddef>
@@ -71,9 +72,9 @@ class ReduceTask {
                                      std::vector<std::string>& values)>;
 
   /// `merge` selects Hadoop's merge phase: the key-sorted frames (the
-  /// mappers must set sort_keys) stream through a SortedFrameMerger
-  /// instead of being regrouped in a hash table. `config` must outlive
-  /// the task.
+  /// mappers must set sort_keys) stream through a SortedFrameMerger.
+  /// Without it the groups are regrouped in a hash table. `config` must
+  /// outlive the task.
   ReduceTask(core::MpiD& mpid, const core::Config& config, bool merge);
 
   /// Receives the round's whole shuffle. An injected crash restarts the
@@ -82,9 +83,9 @@ class ReduceTask {
   /// decode and spill counters folded here.
   void collect();
 
-  /// Calls `fn` once per key: in key order when `sorted` (always when
-  /// merging), else in hash-table order.
-  void reduce(bool sorted, const GroupFn& fn);
+  /// Calls `fn` once per key: in key order when merging, else in
+  /// hash-table order.
+  void reduce(const GroupFn& fn);
 
  private:
   void arm_merger();
@@ -98,5 +99,13 @@ class ReduceTask {
   core::SortedFrameMerger merger_;
   shuffle::ShuffleCounters spill_counters_;
 };
+
+/// Sorts one reducer's output run by (key, value). A merging reduce
+/// already emits its keys in order, so this is usually one O(n) check.
+void sort_run(KvVec& run);
+
+/// Merges runs that are each sorted by (key, value) into one sorted
+/// vector, moving every pair, in O(n log R) for R runs.
+KvVec merge_runs(std::vector<KvVec> runs);
 
 }  // namespace mpid::mapred::detail

@@ -637,9 +637,11 @@ JobSummary MiniCluster::run_internal(const MiniJobConfig& config,
           inj->straggle_delay(fault::TaskKind::kReduce, reduce_id, attempt);
       if (lag.count() > 0) std::this_thread::sleep_for(lag);
     }
-    const auto crash_at =
-        inj ? inj->crash_tick(fault::TaskKind::kReduce, reduce_id, attempt)
-            : std::nullopt;
+    // The fetch tick an injected crash fires at; never without a plan.
+    const std::uint64_t crash_at =
+        (inj ? inj->crash_tick(fault::TaskKind::kReduce, reduce_id, attempt)
+             : std::nullopt)
+            .value_or(std::numeric_limits<std::uint64_t>::max());
     hrpc::HttpClientOptions copier_options;
     copier_options.read_timeout = config.fetch_read_timeout;
 
@@ -787,7 +789,7 @@ JobSummary MiniCluster::run_internal(const MiniJobConfig& config,
             copiers.erase(serving);  // reconnect on the next try
           }
         }
-        if (fetched && crash_at && ++ticks >= *crash_at) {
+        if (fetched && ++ticks >= crash_at) {
           inj->note(fault::Kind::kTaskCrash,
                     task_subject(kKindReduce, reduce_id, attempt));
           throw fault::TaskCrash(fault::TaskKind::kReduce, reduce_id,
@@ -862,7 +864,7 @@ JobSummary MiniCluster::run_internal(const MiniJobConfig& config,
           }
           location = fetch_locations(rpc);
         }
-        if (crash_at && ++ticks >= *crash_at) {
+        if (++ticks >= crash_at) {
           inj->note(fault::Kind::kTaskCrash,
                     task_subject(kKindReduce, reduce_id, attempt));
           throw fault::TaskCrash(fault::TaskKind::kReduce, reduce_id, attempt);

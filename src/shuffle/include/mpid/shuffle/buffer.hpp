@@ -98,9 +98,9 @@ class MapOutputBuffer {
   }
 
   /// Empties the buffer through `fn(const Entry&)`, in first-insertion
-  /// order or sorted by key. Counts the spill round (spills, peak,
-  /// arena_recycles); timing is the caller's job (SpillEncoder owns
-  /// spill_ns). The buffer is emptied even when `fn` throws mid-drain —
+  /// order or sorted by key. Counts the spill round (spills, peak);
+  /// timing is the caller's job (SpillEncoder owns spill_ns). The
+  /// buffer is emptied even when `fn` throws mid-drain —
   /// the drain-then-partition semantics both runtimes rely on for clean
   /// recovery — but views passed to `fn` are invalidated by the return.
   /// No-op on an empty buffer (no counters move).
@@ -119,7 +119,6 @@ class MapOutputBuffer {
       throw;
     }
     table_.recycle();
-    ++counters_->arena_recycles;
     release_budget();
   }
 

@@ -28,9 +28,6 @@ struct ShuffleCounters {
   /// High-water byte footprint of the combine buffer (keys + encoded
   /// values + bookkeeping). Aggregates as a max, not a sum.
   std::uint64_t table_bytes_peak = 0;
-  /// Spill rounds that recycled the flat table's arenas in place instead
-  /// of freeing.
-  std::uint64_t arena_recycles = 0;
 
   // --- shuffle compression (zero when shuffle_compression is off) ---
   /// Frame payload bytes before encoding (what the shuffle would have
@@ -114,7 +111,6 @@ struct ShuffleCounters {
     if (rhs.table_bytes_peak > table_bytes_peak) {
       table_bytes_peak = rhs.table_bytes_peak;
     }
-    arena_recycles += rhs.arena_recycles;
     shuffle_bytes_raw += rhs.shuffle_bytes_raw;
     shuffle_bytes_wire += rhs.shuffle_bytes_wire;
     compress_ns += rhs.compress_ns;

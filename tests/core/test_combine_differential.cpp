@@ -308,9 +308,7 @@ TEST(CombineDifferential, FlatPathReportsArenaStats) {
     }
   });
   EXPECT_GT(stats.spills, 0u);
-  // Every spill recycles the arenas in place, and the buffer's high-water
-  // mark and combiner wall time are accounted.
-  EXPECT_EQ(stats.arena_recycles, stats.spills);
+  // The buffer's high-water mark and combiner wall time are accounted.
   EXPECT_GT(stats.table_bytes_peak, 0u);
   EXPECT_GT(stats.combine_ns, 0u);
   EXPECT_GT(stats.spill_ns, 0u);

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -71,15 +72,24 @@ struct ParityCase {
   int map_threads;
 };
 
-std::string case_name(const ::testing::TestParamInfo<ParityCase>& info) {
-  std::string name = info.param.kind;
-  switch (info.param.compression) {
+std::string describe(const ParityCase& c) {
+  std::string name = c.kind;
+  switch (c.compression) {
     case core::ShuffleCompression::kOff: name += "_off"; break;
     case core::ShuffleCompression::kAuto: name += "_auto"; break;
     case core::ShuffleCompression::kOn: name += "_on"; break;
   }
-  return name + "_t" + std::to_string(info.param.map_threads);
+  return name + "_t" + std::to_string(c.map_threads);
 }
+
+std::string case_name(const ::testing::TestParamInfo<ParityCase>& info) {
+  return describe(info.param);
+}
+
+// gtest prints the parameter into each discovered ctest name. Left to
+// itself it prints the struct's bytes, `kind`'s pointer included, which
+// moves under ASLR and renames the tests from build to build.
+void PrintTo(const ParityCase& c, std::ostream* os) { *os << describe(c); }
 
 class GraphParityTest : public ::testing::TestWithParam<ParityCase> {};
 

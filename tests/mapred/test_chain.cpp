@@ -6,7 +6,9 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -170,6 +172,47 @@ TEST(JobChain, ChainedAndUnchainedAreByteIdentical) {
   // decides between worlds, so it never arms a sixth).
   EXPECT_EQ(unchained.report.totals.chain_rounds, 5u);
   EXPECT_EQ(chained.report.totals.chain_rounds, 6u);
+}
+
+TEST(JobChain, FinalOutputsAreSortedAndMatchTheAblationAtEveryWidth) {
+  // Each round re-emits a key's distinct values in descending order plus
+  // a count, so every sealed partition arrives out of (key, value) order,
+  // and at five partitions some of the four keys' partitions are empty.
+  ChainJob job;
+  job.ingest = [](std::string_view line, MapContext& ctx) {
+    const auto sp = line.find(' ');
+    if (sp != std::string_view::npos) {
+      ctx.emit(line.substr(0, sp), line.substr(sp + 1));
+    }
+  };
+  ChainStage stage;
+  stage.name = "fanout";
+  stage.map = [](std::string_view key, std::string_view value,
+                 ChainMapContext& ctx) { ctx.emit(key, value); };
+  stage.reduce = [](std::string_view key, std::vector<std::string>& values,
+                    ChainReduceContext& ctx) {
+    std::sort(values.begin(), values.end(), std::greater<>());
+    values.erase(std::unique(values.begin(), values.end()), values.end());
+    for (const auto& v : values) ctx.emit(key, v);
+    ctx.emit(key, "#" + std::to_string(values.size()));
+  };
+  stage.max_rounds = 3;
+  job.stages.push_back(std::move(stage));
+  const std::string text = "a 3\na 1\na 2\nb 5\nb 4\nc 9\nd 0\n";
+
+  KvVec first;
+  for (const int partitions : {1, 2, 3, 5}) {
+    JobChain chain(partitions);
+    const auto chained = chain.run_on_text(job, text);
+    const auto unchained = chain.run_unchained_on_text(job, text);
+    EXPECT_TRUE(
+        std::is_sorted(chained.outputs.begin(), chained.outputs.end()))
+        << partitions;
+    EXPECT_EQ(chained.outputs, unchained.outputs) << partitions;
+    if (first.empty()) first = chained.outputs;
+    EXPECT_EQ(chained.outputs, first) << partitions;
+  }
+  EXPECT_FALSE(first.empty());
 }
 
 /// Statics chain: each key's static weight is added every round for a

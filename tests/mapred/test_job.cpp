@@ -2,6 +2,11 @@
 // splitting, and agreement between the MPI-D path and a serial reference.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
@@ -146,6 +151,139 @@ TEST(JobRunner, UnsortedReduceStillCorrect) {
                                             result.outputs.end());
   EXPECT_EQ(counts.at("b"), "2");
   EXPECT_EQ(counts.size(), 3u);
+}
+
+// --- the output contract -------------------------------------------------
+//
+// JobRunner outputs are sorted by (key, value) and equal a serial run of
+// the same map and reduce functions, whatever the reducer count, reduce
+// order or memory budget. Each reducer hands back one run and the runner
+// merges them, so these cases cover odd merge fan-in, empty runs and runs
+// a reduce emitted out of value order.
+
+/// Maps each line's tokens to (token, next token): a key collects several
+/// distinct values, arriving in whatever order the shuffle delivers.
+void neighbour_map(std::string_view line, MapContext& ctx) {
+  std::vector<std::string_view> tokens;
+  std::size_t start = 0;
+  while (start < line.size()) {
+    auto end = line.find(' ', start);
+    if (end == std::string_view::npos) end = line.size();
+    if (end > start) tokens.push_back(line.substr(start, end - start));
+    start = end + 1;
+  }
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    ctx.emit(tokens[i], tokens[(i + 1) % tokens.size()]);
+  }
+}
+
+/// Emits every value of a key in descending order, then the group size:
+/// the reducer's run is out of (key, value) order whenever a key has two
+/// distinct values.
+void descending_reduce(std::string_view key,
+                       std::span<const std::string> values,
+                       ReduceContext& ctx) {
+  std::vector<std::string> sorted(values.begin(), values.end());
+  std::sort(sorted.begin(), sorted.end(), std::greater<>());
+  for (const auto& v : sorted) ctx.emit(key, v);
+  ctx.emit(key, "n=" + std::to_string(values.size()));
+}
+
+JobDef neighbour_job() {
+  JobDef job;
+  job.map = neighbour_map;
+  job.reduce = descending_reduce;
+  return job;
+}
+
+std::string neighbour_corpus(std::uint64_t seed, int lines, int vocabulary) {
+  common::Xoshiro256StarStar rng(seed);
+  std::string text;
+  for (int line = 0; line < lines; ++line) {
+    const auto words = rng.next_in(1, 8);
+    for (std::uint64_t w = 0; w < words; ++w) {
+      text += "k" + std::to_string(rng.next_below(vocabulary)) + ' ';
+    }
+    text += '\n';
+  }
+  return text;
+}
+
+/// The job run serially: one map pass over every line, then one reduce
+/// per key, the outputs sorted.
+KvVec serial_reference(const JobDef& job, std::string_view text) {
+  std::map<std::string, std::vector<std::string>, std::less<>> groups;
+  MapContext map_ctx(
+      [&](std::string_view k, std::string_view v) {
+        groups[std::string(k)].emplace_back(v);
+      },
+      0);
+  LineReader lines(text);
+  while (auto line = lines.next()) job.map(*line, map_ctx);
+  ReduceContext reduce_ctx(0);
+  for (const auto& [key, values] : groups) job.reduce(key, values, reduce_ctx);
+  KvVec out = reduce_ctx.take_emitted();
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(JobRunnerOutput, SortedAndSerialForEveryReducerCountAndOrder) {
+  const auto text = neighbour_corpus(7, 200, 40);
+  const JobDef base = neighbour_job();
+  const KvVec want = serial_reference(base, text);
+  for (const int reducers : {1, 2, 3, 5}) {
+    for (const bool sorted : {true, false}) {
+      JobDef job = base;
+      job.sorted_reduce = sorted;
+      const auto result = JobRunner(3, reducers).run_on_text(job, text);
+      EXPECT_TRUE(std::is_sorted(result.outputs.begin(), result.outputs.end()))
+          << "R=" << reducers << " sorted=" << sorted;
+      EXPECT_EQ(result.outputs, want)
+          << "R=" << reducers << " sorted=" << sorted;
+    }
+  }
+}
+
+TEST(JobRunnerOutput, ReducersWithEmptyRunsStillMerge) {
+  // Two keys over five reducers leaves at least three runs empty, and a
+  // reduce that drops every "b" key empties one more.
+  const std::string text = "a b\nb a\na a\n";
+  JobDef job = neighbour_job();
+  job.reduce = [](std::string_view key, std::span<const std::string> values,
+                  ReduceContext& ctx) {
+    if (key != "b") descending_reduce(key, values, ctx);
+  };
+  const KvVec want = serial_reference(job, text);
+  ASSERT_FALSE(want.empty());
+  for (const int reducers : {1, 2, 3, 5}) {
+    EXPECT_EQ(JobRunner(2, reducers).run_on_text(job, text).outputs, want)
+        << "R=" << reducers;
+  }
+  job.reduce = [](std::string_view, std::span<const std::string>,
+                  ReduceContext&) {};
+  EXPECT_TRUE(JobRunner(2, 5).run_on_text(job, text).outputs.empty());
+}
+
+TEST(JobRunnerOutput, BudgetedSortedReduceTakesTheMergerSpillTier) {
+  namespace fs = std::filesystem;
+  std::string dir = (fs::temp_directory_path() / "mpid-job-XXXXXX").string();
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+
+  const auto text = neighbour_corpus(11, 2000, 300);
+  JobDef job = neighbour_job();
+  const KvVec want = serial_reference(job, text);
+  job.tuning.memory_budget_bytes = 16 * 1024;
+  job.tuning.spill_dir = dir;
+  job.tuning.spill_page_bytes = core::Config::kMinSpillPageBytes;
+  job.tuning.spill_merge_fanin = 2;
+  job.tuning.partition_frame_bytes = 1024;
+  for (const int reducers : {2, 3}) {
+    const auto result = JobRunner(3, reducers).run_on_text(job, text);
+    EXPECT_EQ(result.outputs, want) << "R=" << reducers;
+    EXPECT_GT(result.report.totals.bytes_spilled_disk, 0u) << "R=" << reducers;
+  }
+  EXPECT_TRUE(fs::is_empty(dir));
+  fs::remove_all(dir);
 }
 
 TEST(LineReaderT, HandlesEdgeCases) {

@@ -19,7 +19,6 @@ TEST(ShuffleCountersTest, MergeSumsEverythingExceptPeak) {
   a.combine_ns = 100;
   a.spill_ns = 200;
   a.table_bytes_peak = 5000;
-  a.arena_recycles = 1;
   a.shuffle_bytes_raw = 4096;
   a.shuffle_bytes_wire = 1024;
   a.compress_ns = 50;

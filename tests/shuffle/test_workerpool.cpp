@@ -139,7 +139,7 @@ TEST(WorkerPoolTest, CpuAccountingCoversTheBatch) {
   pool.run(8, [&](std::size_t, std::size_t) {
     // Burn a measurable slice of CPU per task.
     volatile std::uint64_t x = 0;
-    for (int i = 0; i < 200000; ++i) x += static_cast<std::uint64_t>(i);
+    for (int i = 0; i < 200000; ++i) x = x + static_cast<std::uint64_t>(i);
     spins.fetch_add(x, std::memory_order_relaxed);
   });
   const auto& cpu = pool.last_batch_cpu_ns();
