@@ -3,7 +3,7 @@
 // Measures the MPI-D shuffle hot path end to end on in-process ranks —
 // mappers call MPI_D_Send, reducers drain MPI_D_Recv groups — over the
 // pipelined zero-copy transport: bounded-window owned isends, pooled
-// frame buffers, one-frame-ahead wildcard prefetch.
+// frame buffers, checksummed frame trailers and per-lane delivery.
 //
 // Reported:
 //   bytes_per_second   — shuffled value payload / wall time
@@ -153,9 +153,9 @@ BENCHMARK(BM_FrameTransport)
     ->ArgNames({"owned"})
     ->UseRealTime();
 
-/// Resilient-shuffle cost curve: the same shuffle with (incarnation, seq,
-/// checksum) frame headers, mapper-side retention and ack/retransmit,
-/// while the injector drops the given permille of data frames. The
+/// Resilient-shuffle cost curve: the same shuffle plus mapper-side
+/// retention and NACK-driven retransmission, while the injector drops the
+/// given permille of data frames. The
 /// recovery counters land in the JSON artifact next to mapper_stall_s, so
 /// the overhead of fault tolerance is tracked across PRs.
 void BM_ResilientShuffle(benchmark::State& state) {

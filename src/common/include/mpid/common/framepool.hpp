@@ -33,7 +33,12 @@ class FramePool {
     std::uint64_t drops = 0;     // releases discarded (full pool / jumbo)
   };
 
-  explicit FramePool(std::size_t max_buffers = 32,
+  /// The default count covers a round's live frames: a reducer holds each
+  /// mapper lane until it seals, and a resilient mapper retains a copy of
+  /// every frame until the barrier. Buffers beyond the bound go back to
+  /// the allocator, whose fresh pages fault on first touch (at 256 KiB
+  /// frames that cost ~10x the copy itself).
+  explicit FramePool(std::size_t max_buffers = 256,
                      std::size_t max_buffer_bytes = 8 * 1024 * 1024)
       : max_buffers_(max_buffers), max_buffer_bytes_(max_buffer_bytes) {
     free_.reserve(max_buffers_);  // keeps release() allocation-free

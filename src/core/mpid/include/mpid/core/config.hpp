@@ -68,10 +68,9 @@ struct Config : shuffle::ShuffleOptions {
   Partitioner partitioner;
 
   /// Full partition frames move into the transport with owned nonblocking
-  /// sends (reducers keep a wildcard receive posted one frame ahead, and
-  /// frame buffers recycle through a FramePool). This bounds the sends
-  /// outstanding per destination reducer before the mapper waits on the
-  /// oldest (>= 1). Two frames give classic double buffering; more
+  /// sends (frame buffers recycle through a FramePool). This bounds the
+  /// sends outstanding per destination reducer before the mapper waits on
+  /// the oldest (>= 1). Two frames give classic double buffering; more
   /// deepens the pipeline.
   std::size_t max_inflight_frames = 4;
 
@@ -81,13 +80,15 @@ struct Config : shuffle::ShuffleOptions {
   std::shared_ptr<common::FramePool> frame_pool;
 
   /// Opt-in resilient shuffle (the fault-tolerance the paper leaves as an
-  /// open issue). Data frames carry (incarnation, sequence, checksum)
-  /// headers; mappers retain sent frames until the job completes and honor
-  /// NACK/REPULL retransmission requests; reducers detect corrupt,
-  /// duplicate and missing frames, request retransmits, and can be
-  /// restarted mid-shuffle (restart_reducer re-pulls every lane). The cost
-  /// is Hadoop's: delivery to MPI_D_Recv starts only once every mapper's
-  /// stream is sealed (a batch boundary instead of streaming reception).
+  /// open issue). Both modes share one data channel (DESIGN.md §6): every
+  /// frame carries an (incarnation, sequence, checksum) trailer, every
+  /// lane closes with a SEAL the reducer ACKs, and a reducer delivers a
+  /// mapper's lane once it is sealed and complete. This flag decides only
+  /// three things: mappers retain a copy of every sent frame until the
+  /// round's barrier and serve NACK/REPULL retransmissions (a NACK
+  /// reaching a mapper without retention throws); the fault injector's
+  /// transport faults are armed; and restart_mapper()/restart_reducer()
+  /// are allowed. The cost is the retention copy.
   bool resilient_shuffle = false;
 
   /// Deterministic fault injector driving transport faults and task

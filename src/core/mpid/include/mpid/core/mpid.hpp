@@ -25,7 +25,9 @@
 //    destination rank is derived from the partition number automatically.
 //  * Reducers receive frames with wildcard-source MPI receives, reverse-
 //    realign them into key-value pairs, and hand them to MPI_D_Recv in
-//    streaming fashion.
+//    streaming fashion, one mapper's lane at a time: each lane closes
+//    with a SEAL the reducer ACKs (or NACKs, under the resilient
+//    shuffle, to have gaps re-sent).
 //
 // Typical mapper:                      Typical reducer:
 //   MpiD d(comm, cfg);                   MpiD d(comm, cfg);
@@ -130,8 +132,8 @@ class MpiD {
   }
 
   /// MPI_D_Recv — reducer only. Produces the next pair in streaming order;
-  /// returns false once every mapper's end-of-stream marker has been
-  /// consumed and no buffered pairs remain.
+  /// returns false once every mapper's lane was sealed and delivered and
+  /// no buffered pairs remain.
   bool recv(std::string& key, std::string& value);
 
   /// Grouped variant: one (key, value-list) segment as realigned by the
@@ -148,7 +150,7 @@ class MpiD {
                         std::vector<std::string_view>& values);
 
   /// Raw-frame variant: one realigned partition frame exactly as a mapper
-  /// shipped it; false once all mappers signalled end-of-stream. Feed the
+  /// shipped it; false once every lane was delivered and drained. Feed the
   /// frames to SortedFrameMerger (merge.hpp) for Hadoop-style globally
   /// key-ordered reduction (requires Config::sort_keys on the mappers).
   /// Must not be mixed with recv()/recv_group() on the same instance.
@@ -184,9 +186,9 @@ class MpiD {
     return config_.memory_budget.get();
   }
 
-  /// MPI_D_Finalize — collective. Mappers flush buffers and emit
-  /// end-of-stream markers; reducers must have drained recv() first. All
-  /// ranks then synchronize through the master, which aggregates stats.
+  /// MPI_D_Finalize — collective. Mappers flush buffers and seal their
+  /// lanes; reducers must have drained recv() first. All ranks then
+  /// synchronize through the master, which aggregates stats.
   void finalize();
 
   /// Round barrier of the iterative chain lifecycle (DESIGN.md §16) —
@@ -197,10 +199,11 @@ class MpiD {
   /// tearing the world down every rank re-arms for another MapReduce
   /// round: every rank moves to a fresh data context (so a round-N
   /// retransmit still in flight can never match a round-N+1 receive),
-  /// mapper lanes restart at sequence 0 under a fresh incarnation,
-  /// reducer EOS/seal/delivery state clears, and per-rank stats() reset
-  /// to zero. send()/recv() then work again. Throws if the
-  /// barrier would exceed resident_rounds or the instance is finalized.
+  /// mapper lanes restart at sequence 0 (same incarnation: the context,
+  /// not the stamp, tells rounds apart), reducer lane/delivery state
+  /// clears, and per-rank stats() reset to zero. send()/recv() then work
+  /// again. Throws if the barrier would exceed resident_rounds or the
+  /// instance is finalized.
   void next_round();
 
   /// Completed round barriers (next_round() calls + the final
@@ -236,36 +239,51 @@ class MpiD {
 
  private:
   /// The SpillEncoder's transport sink: ships one realigned (and possibly
-  /// codec-framed) partition frame over the data communicator, plain or
-  /// resilient, accounting frames_sent, bytes_sent and flush_wait_ns.
+  /// codec-framed) partition frame over the data communicator, accounting
+  /// frames_sent, bytes_sent and flush_wait_ns.
   void transport_send(std::size_t partition, std::vector<std::byte> frame);
+  /// Appends the next trailer of the `count` lanes starting at
+  /// `first_lane` (they advance in lockstep: one lane, or a coded group)
+  /// and, under the resilient shuffle, retains a copy in each lane.
+  /// Counts the frame and its payload bytes as sent.
+  void stamp_frame(std::vector<std::byte>& frame, std::size_t first_lane,
+                   std::size_t count);
   /// Moves one frame into the partition's bounded window of owned
   /// nonblocking sends, first waiting out the oldest send when the window
   /// is full (Config::max_inflight_frames).
   void isend_windowed(std::size_t partition, std::vector<std::byte> frame);
 
-  // --- resilient shuffle (Config::resilient_shuffle) ---
+  // --- the data channel (DESIGN.md §6/§7) ---
+  /// Retention, NACK/REPULL service, armed faults and restart_*.
   bool resilient() const noexcept { return config_.resilient_shuffle; }
   fault::FaultInjector* injector() const noexcept {
     return config_.fault_injector.get();
   }
-  /// Frames, retains and ships one partition payload with an
-  /// (incarnation, sequence, checksum) header.
-  void send_frame_resilient(std::size_t partition,
-                            std::vector<std::byte> payload);
-  /// SEAL for one lane: kEosTag carrying {incarnation, total frames}.
+  /// SEAL for one lane: kSealTag carrying {incarnation, total frames}.
   void send_seal(int reducer);
   /// Services one ACK/NACK/REPULL at the mapper. `acked`/`remaining`
-  /// track which lanes still owe an ACK.
+  /// track which lanes still owe an ACK. A NACK or REPULL reaching a
+  /// mapper that retains nothing throws, naming the rank and lane.
   void handle_lane_control(const minimpi::Status& st,
                            std::span<const std::byte> payload,
                            std::vector<char>& acked, int& remaining);
-  /// SEAL + ack/retransmit loop + done handshake of a resilient mapper.
-  void resilient_mapper_finalize();
-  /// Reducer: receives until every mapper's lane is sealed and complete
-  /// (NACKing gaps), then stages the payload frames for delivery. Throws
-  /// fault::TaskCrash when an injected crash tick fires.
-  void resilient_collect();
+  /// SEAL every lane, serve lane control until each is ACKed, then the
+  /// done handshake (still serving re-pulls until the master's ack).
+  void close_lanes();
+  /// Hands every lane's retained frames back to the frame pool.
+  void release_retained();
+  /// Reducer: receives one data-channel message — a frame or a SEAL —
+  /// into its mapper's lane, dropping corrupt and duplicate frames,
+  /// NACKing gaps and delivering the lane once it is sealed and complete.
+  /// Throws fault::TaskCrash when an injected crash tick fires.
+  void receive_one();
+  /// Moves a sealed, complete lane's payloads into collected_ in
+  /// sequence order (coded lanes decode here) and ACKs it.
+  void deliver_lane(int mapper);
+  /// Mapper-side lane, buffer and encoder reset (restart and next round).
+  void reset_send_side();
+  /// Reducer-side lane and delivery reset (restart and next round).
+  void reset_receive_side();
 
   // --- shuffle compression (Config::shuffle_compression) ---
   bool compression_on() const noexcept {
@@ -289,9 +307,9 @@ class MpiD {
   bool is_agg_sender(int m) const noexcept {
     return !node_agg() || m % ranks_per_node() == 0;
   }
-  /// End-of-stream markers a reducer must collect before it is drained:
-  /// one per mapper normally, one per node leader under aggregation.
-  int eos_target() const noexcept {
+  /// Lanes a reducer must see delivered before it is drained: one per
+  /// mapper normally, one per node leader under aggregation.
+  int lanes_expected() const noexcept {
     return node_agg() ? node_count() : config_.mappers;
   }
   /// Intra-node stage exchange + the leader's combine tree; runs inside
@@ -349,10 +367,9 @@ class MpiD {
 
   /// The one reception path behind every recv_* flavor: the next frame of
   /// the round exactly as shipped — this reducer's local coded frames
-  /// first, then the resilient collection or the network (one wildcard
-  /// receive posted ahead). `codec_framed` says whether the bytes still
-  /// need the codec decode. False once every mapper signalled
-  /// end-of-stream.
+  /// first, then the delivered lanes, receiving until one is.
+  /// `codec_framed` says whether the bytes still need the codec decode.
+  /// False once every lane was delivered and drained.
   bool next_wire_frame(std::vector<std::byte>& frame, bool& codec_framed);
   /// Pulls the next frame (decoded) and stages it as the delivery frame.
   /// Returns false at end of stream.
@@ -363,20 +380,15 @@ class MpiD {
   /// True while a group or frame is still being drained (guards finalize
   /// and the recv_raw_frame mixing check).
   bool delivery_pending() const noexcept;
-  /// The shared body of finalize() and next_round(): flush/seal/EOS on
+  /// The shared body of finalize() and next_round(): flush/seal on
   /// the mappers, drained-check on the reducers, per-round stats fold on
   /// the master, done/ack handshake everywhere. `final` decides whether
   /// the master counts task completions (once, on the last round).
   void round_barrier(bool final);
   /// Re-arms this rank for the next chain round after a non-final
-  /// barrier: fresh per-round stats, reset spill/lane state (mapper, with
-  /// an incarnation bump under the resilient shuffle), cleared
-  /// EOS/seal/delivery state (reducer).
+  /// barrier: a fresh data context and per-round stats, reset spill/lane
+  /// state (mapper), cleared lane/delivery state (reducer).
   void rearm_for_next_round();
-
-  /// Posts the reducer's one-frame-ahead wildcard receive: reverse
-  /// realignment of frame N overlaps reception of N+1.
-  void post_prefetch();
   /// Waits out the in-flight send window of one partition.
   void drain_inflight(std::size_t partition);
   void ensure_role(Role expected, const char* what) const;
@@ -405,15 +417,16 @@ class MpiD {
   /// destination reducer (Config::max_inflight_frames).
   std::vector<std::deque<minimpi::Request>> inflight_;
 
-  // Resilient-shuffle mapper state: one lane per reducer. Sent frames are
-  // retained (with their headers) until the master's final ack, so a
-  // restarted reducer can re-pull the whole lane at any point of the job.
+  // Mapper state: one lane per reducer. Under the resilient shuffle sent
+  // frames are retained (with their trailers) until the master's ack, so
+  // a restarted reducer can re-pull the whole lane at any point of the
+  // round.
   struct SendLane {
     std::uint32_t next_seq = 0;
     std::vector<std::vector<std::byte>> retained;
   };
   std::vector<SendLane> lanes_;
-  std::uint32_t incarnation_ = 0;  // mapper attempt stamped into headers
+  std::uint32_t incarnation_ = 0;  // mapper attempt stamped into trailers
   int attempt_ = 0;
 
   /// Coded placement arithmetic (identity when coded_replication == 1).
@@ -432,26 +445,27 @@ class MpiD {
   /// stage and no cross-rank incarnation protocol is needed.
   std::vector<std::vector<std::byte>> node_staged_;
 
-  // Resilient-shuffle reducer state: one lane per mapper.
+  // Reducer state: one lane per mapper. Frames stage here until their
+  // lane is sealed and complete, then move to collected_ at once.
   struct RecvLane {
     std::uint32_t incarnation = 0;
     std::map<std::uint32_t, std::vector<std::byte>> frames;  // seq -> payload
     std::optional<std::uint32_t> sealed_total;
-    bool complete = false;
+    bool delivered = false;
   };
   std::vector<RecvLane> recv_lanes_;
-  /// One staged delivery frame of the resilient path. Coded lanes are
-  /// fully decoded at staging time (codec + XOR against side terms), so
-  /// their entries are raw; uncoded entries keep the wire bytes and the
-  /// codec flag so recv_wire_frame can still defer the decode.
+  int lanes_delivered_ = 0;
+  /// One delivered frame. Coded lanes are fully decoded at delivery
+  /// (codec + XOR against side terms), so their entries are raw; uncoded
+  /// entries keep the wire bytes and the codec flag so recv_wire_frame can
+  /// still defer the decode.
   struct CollectedFrame {
     std::vector<std::byte> bytes;
     bool codec_framed = false;
   };
-  /// Payload frames in (mapper, sequence) order once every lane is
-  /// complete; refill_segments/recv_raw_frame drain this.
+  /// Frames of the delivered lanes, lane by lane in sequence order;
+  /// next_wire_frame drains this.
   std::deque<CollectedFrame> collected_;
-  bool collected_ready_ = false;
 
   /// Reducer-side coded state (coded_replication > 1), built by
   /// run_reduce_side_map and kept across reducer restarts (the replica
@@ -486,12 +500,6 @@ class MpiD {
   std::optional<common::KvListReader> delivery_reader_;
   std::optional<common::KvListView> current_view_;  // group being drained
   std::size_t current_value_index_ = 0;
-  int eos_received_ = 0;
-  /// Prefetch buffer must outlive the request posted against it (members
-  /// destroy in reverse declaration order: request first, then buffer).
-  std::vector<std::byte> prefetch_buf_;
-  minimpi::Request prefetch_req_;
-  bool prefetch_posted_ = false;
 
   // Master state.
   JobReport report_;

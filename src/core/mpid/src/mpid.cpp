@@ -7,19 +7,21 @@
 
 #include "mpid/common/codec.hpp"
 #include "mpid/common/hash.hpp"
+#include "mpid/core/frame.hpp"
 #include "mpid/shuffle/nodeagg.hpp"
 
 namespace mpid::core {
 
 namespace {
 
-// Tags on the private (dup'd) communicator.
-constexpr int kDataTag = 1;  // a realigned partition frame
-constexpr int kEosTag = 2;   // mapper end-of-stream marker; in resilient
-                             // mode a SEAL carrying {incarnation, total}
+// Tags on the private (dup'd) communicator. Only kDataTag is ever in the
+// fault injector's scope: lane control, the done handshake and the node
+// forward stay reliable so recovery itself cannot be lost.
+constexpr int kDataTag = 1;  // a framed partition payload (frame.hpp)
+constexpr int kSealTag = 2;  // mapper -> reducer: lane closed, carrying
+                             // {incarnation, total frames}
 constexpr int kDoneTag = 3;  // rank -> master completion + stats
 constexpr int kAckTag = 4;   // master -> rank shutdown acknowledgement
-// Resilient-shuffle control (reliable: never in the injector's scope).
 constexpr int kLaneAckTag = 5;   // reducer -> mapper: lane complete
 constexpr int kLaneNackTag = 6;  // reducer -> mapper: list of missing seqs
 constexpr int kRepullTag = 7;    // restarted reducer -> mapper: resend lane
@@ -39,47 +41,9 @@ std::uint64_t now_ns() noexcept {
           .count());
 }
 
-// --- resilient frame header: {u32 incarnation, u32 seq, u64 checksum} ---
-//
-// The top bit of the seq field is the codec bit: set when the payload is a
-// codec frame (Config::shuffle_compression != kOff). The checksum covers
-// the field as sent — compressed bytes, codec bit and all — so corruption
-// anywhere in the frame still fails verification; the effective sequence
-// space shrinks to 31 bits, far beyond any real lane length.
-
-constexpr std::size_t kFrameHeaderBytes = 16;
-constexpr std::uint32_t kSeqCodecBit = 0x80000000u;
-
-struct FrameHeader {
-  std::uint32_t incarnation = 0;
-  std::uint32_t seq = 0;
-  std::uint64_t checksum = 0;
-};
-
 void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
   const auto* p = reinterpret_cast<const std::byte*>(&v);
   out.insert(out.end(), p, p + sizeof v);
-}
-
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  const auto* p = reinterpret_cast<const std::byte*>(&v);
-  out.insert(out.end(), p, p + sizeof v);
-}
-
-FrameHeader read_header(std::span<const std::byte> frame) {
-  FrameHeader hdr;
-  std::memcpy(&hdr.incarnation, frame.data(), 4);
-  std::memcpy(&hdr.seq, frame.data() + 4, 4);
-  std::memcpy(&hdr.checksum, frame.data() + 8, 8);
-  return hdr;
-}
-
-/// The checksum covers the payload *and* the (incarnation, seq) fields, so
-/// a bit flipped anywhere in the frame — including the header — is caught.
-std::uint64_t frame_checksum(std::uint32_t incarnation, std::uint32_t seq,
-                             std::span<const std::byte> payload) noexcept {
-  return common::fnv1a64(payload) ^
-         common::fmix64((std::uint64_t{incarnation} << 32) | seq);
 }
 
 }  // namespace
@@ -118,9 +82,7 @@ MpiD::MpiD(minimpi::Comm& comm, Config config)
   } else if (rank <= config_.mappers) {
     role_ = Role::kMapper;
     inflight_.resize(static_cast<std::size_t>(config_.reducers));
-    if (resilient()) {
-      lanes_.resize(static_cast<std::size_t>(config_.reducers));
-    }
+    lanes_.resize(static_cast<std::size_t>(config_.reducers));
     // Assemble the shared shuffle pipeline (src/shuffle) over this rank's
     // transport: buffer -> combine -> partition -> encode -> [compress]
     // -> transport_send(). MPI-D realigns into bounded KvList frames and
@@ -168,19 +130,16 @@ MpiD::MpiD(minimpi::Comm& comm, Config config)
     if (compression_on()) {
       decoder_.emplace(config_.partition_frame_bytes, pool_.get(), &stats_);
     }
-    if (resilient()) {
-      recv_lanes_.resize(static_cast<std::size_t>(config_.mappers));
-      if (auto* inj = injector()) {
-        crash_tick_ = inj->crash_tick(fault::TaskKind::kReduce,
-                                      reducer_index(), attempt_);
-      }
+    recv_lanes_.resize(static_cast<std::size_t>(config_.mappers));
+    if (resilient() && injector() != nullptr) {
+      crash_tick_ = injector()->crash_tick(fault::TaskKind::kReduce,
+                                           reducer_index(), attempt_);
     }
   }
   if (resilient() && config_.fault_injector) {
-    // Arm transport faults on the data channel only: SEAL, ACK/NACK,
-    // REPULL and the done/ack handshake stay reliable so recovery itself
-    // cannot be lost. The world hook is install-once (first caller wins),
-    // so every rank registering the same injector is fine.
+    // Arm transport faults on the data channel only (kDataTag). The world
+    // hook is install-once (first caller wins), so every rank registering
+    // the same injector is fine.
     auto inj = config_.fault_injector;
     inj->add_transport_scope(data_comm_.context(), kDataTag);
     comm.world().install_transport_hook(
@@ -312,14 +271,30 @@ void MpiD::drain_inflight(std::size_t partition) {
 
 void MpiD::transport_send(std::size_t partition, std::vector<std::byte> frame) {
   const std::uint64_t start = now_ns();
-  if (resilient()) {
-    send_frame_resilient(partition, std::move(frame));
-  } else {
-    stats_.bytes_sent += frame.size();
-    isend_windowed(partition, std::move(frame));
-  }
-  ++stats_.frames_sent;
+  stamp_frame(frame, partition, 1);
+  isend_windowed(partition, std::move(frame));
   stats_.flush_wait_ns += now_ns() - start;
+}
+
+void MpiD::stamp_frame(std::vector<std::byte>& frame, std::size_t first_lane,
+                       std::size_t count) {
+  ++stats_.frames_sent;
+  stats_.bytes_sent += frame.size();  // payload bytes, as bytes_received
+  // The payload is already codec-framed when compression is on: the
+  // checksum covers the compressed bytes, so a retransmit re-ships the
+  // identical buffer.
+  append_frame_trailer(frame, incarnation_, lanes_[first_lane].next_seq,
+                       compression_on());
+  for (std::size_t i = first_lane; i < first_lane + count; ++i) {
+    ++lanes_[i].next_seq;
+    // Retain a copy until the master's ack: a restarted reducer can
+    // re-pull the whole lane, a NACK any single frame.
+    if (resilient()) {
+      auto copy = pool_->acquire(frame.size());
+      copy.assign(frame.begin(), frame.end());
+      lanes_[i].retained.push_back(std::move(copy));
+    }
+  }
 }
 
 void MpiD::isend_windowed(std::size_t partition, std::vector<std::byte> frame) {
@@ -336,13 +311,6 @@ void MpiD::isend_windowed(std::size_t partition, std::vector<std::byte> frame) {
       data_comm_.isend_bytes_owned(dst, kDataTag, std::move(frame)));
 }
 
-void MpiD::post_prefetch() {
-  prefetch_buf_.clear();
-  prefetch_req_ = data_comm_.irecv_bytes(minimpi::kAnySource,
-                                         minimpi::kAnyTag, prefetch_buf_);
-  prefetch_posted_ = true;
-}
-
 bool MpiD::next_wire_frame(std::vector<std::byte>& frame, bool& codec_framed) {
   if (coded_local_cursor_ < coded_local_.size()) {
     // Local delivery first: this reducer's own partition of its replica
@@ -352,45 +320,17 @@ bool MpiD::next_wire_frame(std::vector<std::byte>& frame, bool& codec_framed) {
     codec_framed = false;
     return true;
   }
-  if (resilient()) {
-    resilient_collect();
-    if (collected_.empty()) return false;
-    // frames_received/bytes_received were counted at collection time.
-    codec_framed = collected_.front().codec_framed;
-    frame = std::move(collected_.front().bytes);
-    collected_.pop_front();
-    return true;
+  while (collected_.empty()) {
+    // Every lane delivered: nothing else is owed this round, so stop
+    // receiving (the finalize ack must not be stolen).
+    if (lanes_delivered_ == lanes_expected()) return false;
+    receive_one();
   }
-  for (;;) {
-    if (eos_received_ == eos_target()) return false;
-    if (!prefetch_posted_) post_prefetch();
-    const minimpi::Status st = prefetch_req_.wait();
-    prefetch_posted_ = false;
-    frame = std::move(prefetch_buf_);
-    // Keep exactly one wildcard receive posted ahead while more traffic is
-    // expected, so reverse realignment of this frame overlaps the arrival
-    // of the next. Never leave one posted once every mapper has signalled
-    // end-of-stream: the finalize ack must not be stolen.
-    if (st.tag == kEosTag) ++eos_received_;
-    if (eos_received_ < eos_target()) post_prefetch();
-    if (st.tag == kEosTag) continue;
-    if (st.tag != kDataTag) {
-      throw std::runtime_error("MpiD: unexpected tag on data channel");
-    }
-    ++stats_.frames_received;
-    stats_.bytes_received += frame.size();
-    if (is_coded_source(st.source - 1)) {
-      frame = decode_coded_payload(unit_of_mapper(st.source - 1),
-                                   std::move(frame));
-      if (frame.empty()) continue;  // my stream had drained by that round
-      codec_framed = false;
-      return true;
-    }
-    // Self-describing framing: with compression on, every uncoded frame on
-    // the wire is a codec frame.
-    codec_framed = compression_on();
-    return true;
-  }
+  // frames_received/bytes_received were counted at reception.
+  codec_framed = collected_.front().codec_framed;
+  frame = std::move(collected_.front().bytes);
+  collected_.pop_front();
+  return true;
 }
 
 bool MpiD::fetch_delivery_frame() {
@@ -570,24 +510,16 @@ void MpiD::round_barrier(bool final) {
           }
         }
       }
-      // Close every in-flight window before end-of-stream: EOS must not
-      // overtake data (it cannot — same (source, context) lane — but a
-      // drained window also returns the request bookkeeping to a clean
-      // state before the final handshake).
+      // Close every in-flight window before the SEALs: a SEAL cannot
+      // overtake data (same (source, context) lane), but a drained window
+      // returns the request bookkeeping to a clean state before the final
+      // handshake.
       for (std::size_t p = 0; p < inflight_.size(); ++p) drain_inflight(p);
-      if (resilient()) {
-        resilient_mapper_finalize();
-        break;
-      }
-      for (int r = 0; r < config_.reducers; ++r) {
-        data_comm_.send_bytes(1 + config_.mappers + r, kEosTag, {});
-      }
-      data_comm_.send_value(0, kDoneTag, stats_);
-      (void)data_comm_.recv_value<int>(0, kAckTag);
+      close_lanes();
       break;
     }
     case Role::kReducer: {
-      if (eos_received_ != eos_target() || delivery_pending() ||
+      if (lanes_delivered_ != lanes_expected() || delivery_pending() ||
           !collected_.empty() || coded_local_cursor_ < coded_local_.size()) {
         throw std::logic_error(
             "MpiD: reducer must drain recv() before finalize");
@@ -633,50 +565,48 @@ void MpiD::rearm_for_next_round() {
   if (resilient() && injector() != nullptr) {
     injector()->add_transport_scope(data_comm_.context(), kDataTag);
   }
+  // This context switch is the one thing that tells rounds apart:
+  // incarnations only track mapper attempts and carry over unchanged.
   switch (role_) {
-    case Role::kMapper: {
-      map_buffer_->clear();
-      node_staged_.clear();
-      // The barrier flushed every pending frame, so reset() only clears
-      // bookkeeping; the writers keep their allocations for round N+1.
-      encoder_->reset();
-      if (resilient()) {
-        // Fresh incarnation per round: a reducer lane distinguishes round
-        // N+1 frames (higher incarnation adopts and resets the lane) from
-        // any stale round-N duplicate (lower incarnation drops).
-        ++incarnation_;
-        for (auto& lane : lanes_) {
-          lane.next_seq = 0;
-          lane.retained.clear();
-        }
-      }
+    case Role::kMapper:
+      // The barrier flushed every pending frame, so the encoder reset
+      // only clears bookkeeping; the writers keep their allocations.
+      reset_send_side();
       break;
-    }
-    case Role::kReducer: {
-      for (auto& lane : recv_lanes_) {
-        // Incarnations survive — they track the mappers' attempts/rounds
-        // and the next round's higher stamp adopts automatically.
-        lane.frames.clear();
-        lane.sealed_total.reset();
-        lane.complete = false;
-      }
-      collected_.clear();
-      collected_ready_ = false;
-      current_view_.reset();
-      delivery_reader_.reset();
-      if (!delivery_frame_.empty()) pool_->release(std::move(delivery_frame_));
-      delivery_frame_ = std::vector<std::byte>{};
-      current_value_index_ = 0;
-      eos_received_ = 0;
+    case Role::kReducer:
       // progress_ticks_ / crash_tick_ are NOT reset: an injected reducer
       // crash plan spans the chain, so a tick budget larger than one
       // round's traffic fires mid-chain (the restart-under-chaining test
       // path). restart_reducer() re-arms them per attempt as usual.
+      reset_receive_side();
       break;
-    }
     case Role::kMaster:
       break;
   }
+}
+
+void MpiD::reset_send_side() {
+  map_buffer_->clear();
+  node_staged_.clear();
+  encoder_->reset();
+  release_retained();
+  for (auto& lane : lanes_) lane.next_seq = 0;
+}
+
+void MpiD::reset_receive_side() {
+  for (auto& lane : recv_lanes_) {
+    // Incarnations survive: they track the mappers' attempts.
+    lane.frames.clear();
+    lane.sealed_total.reset();
+    lane.delivered = false;
+  }
+  lanes_delivered_ = 0;
+  collected_.clear();
+  current_view_.reset();
+  delivery_reader_.reset();
+  if (!delivery_frame_.empty()) pool_->release(std::move(delivery_frame_));
+  delivery_frame_ = std::vector<std::byte>{};
+  current_value_index_ = 0;
 }
 
 // ------------------------------------------------- node-local aggregation --
@@ -924,32 +854,12 @@ void MpiD::coded_multicast_send(std::vector<std::byte> payload) {
     dsts[i] = 1 + config_.mappers + static_cast<minimpi::Rank>(base + i);
   }
   const std::uint64_t start = now_ns();
-  if (resilient()) {
-    // Home lanes carry nothing but coded rounds, so the group's r lanes
-    // advance in lockstep: one framed buffer, one header, one sequence
-    // number — retained in every lane for NACK/REPULL service.
-    const std::uint32_t seq_field =
-        lanes_[base].next_seq | (compression_on() ? kSeqCodecBit : 0u);
-    std::vector<std::byte> framed;
-    framed.reserve(kFrameHeaderBytes + payload.size());
-    put_u32(framed, incarnation_);
-    put_u32(framed, seq_field);
-    put_u64(framed, frame_checksum(incarnation_, seq_field, payload));
-    framed.insert(framed.end(), payload.begin(), payload.end());
-    for (std::size_t i = 0; i < r; ++i) {
-      auto& lane = lanes_[base + i];
-      lane.retained.push_back(framed);
-      ++lane.next_seq;
-    }
-    // One wire transmission per group: that is the whole point, and the
-    // counter says so honestly.
-    stats_.bytes_sent += framed.size();
-    data_comm_.multicast_bytes_owned(dsts, kDataTag, std::move(framed));
-  } else {
-    stats_.bytes_sent += payload.size();
-    data_comm_.multicast_bytes_owned(dsts, kDataTag, std::move(payload));
-  }
-  ++stats_.frames_sent;
+  // Home lanes carry nothing but coded rounds, so the group's r lanes
+  // advance in lockstep: one trailer, one sequence number, and one wire
+  // transmission per group — that is the whole point, and the counters
+  // say so honestly.
+  stamp_frame(payload, base, r);
+  data_comm_.multicast_bytes_owned(dsts, kDataTag, std::move(payload));
   stats_.flush_wait_ns += now_ns() - start;
 }
 
@@ -959,7 +869,7 @@ void MpiD::run_reduce_side_map(const CodedReplicaMapFn& replica_map) {
     throw std::logic_error(
         "MpiD: run_reduce_side_map requires coded_replication > 1");
   }
-  if (eos_received_ != 0 || !coded_units_.empty()) {
+  if (lanes_delivered_ != 0 || !coded_units_.empty()) {
     throw std::logic_error(
         "MpiD: run_reduce_side_map must run once, before the first recv");
   }
@@ -1063,39 +973,16 @@ std::vector<std::byte> MpiD::decode_coded_payload(
       &stats_);
 }
 
-// ------------------------------------------------------ resilient shuffle --
-
-void MpiD::send_frame_resilient(std::size_t partition,
-                                std::vector<std::byte> payload) {
-  auto& lane = lanes_[partition];
-  // The payload is already codec-framed when compression is on; the codec
-  // bit rides in the seq field and the checksum covers the compressed
-  // bytes, so retransmits re-ship the identical framed buffer.
-  const std::uint32_t seq_field =
-      lane.next_seq | (compression_on() ? kSeqCodecBit : 0u);
-  std::vector<std::byte> framed;
-  framed.reserve(kFrameHeaderBytes + payload.size());
-  put_u32(framed, incarnation_);
-  put_u32(framed, seq_field);
-  put_u64(framed, frame_checksum(incarnation_, seq_field, payload));
-  framed.insert(framed.end(), payload.begin(), payload.end());
-  pool_->release(std::move(payload));
-  ++lane.next_seq;
-  // Retain a copy until the master's final ack: a restarted reducer can
-  // re-pull the whole lane, a NACK any single frame.
-  lane.retained.push_back(framed);
-  stats_.bytes_sent += framed.size();
-  isend_windowed(partition, std::move(framed));
-}
+// ----------------------------------------------------------- data channel --
 
 void MpiD::send_seal(int reducer) {
-  // kEosTag is out of the injector's scope, so a SEAL always arrives; it
+  // kSealTag is out of the injector's scope, so a SEAL always arrives; it
   // tells the reducer how many frames incarnation `incarnation_` shipped.
   std::vector<std::byte> seal;
   seal.reserve(8);
   put_u32(seal, incarnation_);
   put_u32(seal, lanes_[static_cast<std::size_t>(reducer)].next_seq);
-  data_comm_.send_bytes(1 + config_.mappers + reducer, kEosTag, seal);
+  data_comm_.send_bytes(1 + config_.mappers + reducer, kSealTag, seal);
 }
 
 void MpiD::handle_lane_control(const minimpi::Status& st,
@@ -1107,75 +994,70 @@ void MpiD::handle_lane_control(const minimpi::Status& st,
   }
   const auto u = static_cast<std::size_t>(lane_idx);
   auto& lane = lanes_[u];
-  switch (st.tag) {
-    case kLaneAckTag: {
-      if (!acked[u]) {
-        acked[u] = 1;
-        --remaining;
-      }
-      return;
+  if (st.tag == kLaneAckTag) {
+    if (!acked[u]) {
+      acked[u] = 1;
+      --remaining;
     }
-    case kLaneNackTag: {
-      const std::uint64_t start = now_ns();
-      if (payload.size() < 4) throw std::runtime_error("MpiD: short NACK");
-      std::uint32_t count = 0;
-      std::memcpy(&count, payload.data(), 4);
-      if (payload.size() < 4 + std::size_t{count} * 4) {
-        throw std::runtime_error("MpiD: truncated NACK");
-      }
-      std::uint32_t resent = 0;
-      for (std::uint32_t i = 0; i < count; ++i) {
-        std::uint32_t seq = 0;
-        std::memcpy(&seq, payload.data() + 4 + std::size_t{i} * 4, 4);
-        if (seq >= lane.retained.size()) continue;  // stale-incarnation seq
-        // Retransmits go back through the hooked send path: they can be
-        // dropped again, and the next SEAL round NACKs again.
-        data_comm_.send_bytes(st.source, kDataTag, lane.retained[seq]);
-        ++resent;
-      }
-      stats_.frames_retransmitted += resent;
-      ++stats_.retransmit_requests;
-      send_seal(lane_idx);
-      if (acked[u]) {
-        acked[u] = 0;
-        ++remaining;
-      }
-      if (auto* inj = injector()) {
-        inj->record_recovery(
-            fault::Kind::kRetransmit, "map:" + std::to_string(mapper_index()),
-            std::to_string(resent) + " frames to reducer " +
-                std::to_string(lane_idx));
-      }
-      stats_.recovery_wall_ns += now_ns() - start;
-      return;
-    }
-    case kRepullTag: {
-      const std::uint64_t start = now_ns();
-      for (const auto& frame : lane.retained) {
-        data_comm_.send_bytes(st.source, kDataTag, frame);
-      }
-      stats_.frames_retransmitted += lane.retained.size();
-      ++stats_.retransmit_requests;
-      send_seal(lane_idx);
-      if (acked[u]) {
-        acked[u] = 0;
-        ++remaining;
-      }
-      if (auto* inj = injector()) {
-        inj->record_recovery(
-            fault::Kind::kRetransmit, "map:" + std::to_string(mapper_index()),
-            "repull of " + std::to_string(lane.retained.size()) +
-                " frames by reducer " + std::to_string(lane_idx));
-      }
-      stats_.recovery_wall_ns += now_ns() - start;
-      return;
-    }
-    default:
-      throw std::runtime_error("MpiD: unexpected tag in mapper finalize");
+    return;
   }
+  if (st.tag != kLaneNackTag && st.tag != kRepullTag) {
+    throw std::runtime_error("MpiD: unexpected tag in mapper finalize");
+  }
+  if (!resilient()) {
+    // Without retention there is nothing to re-send: fail loudly rather
+    // than hang the lane or let the reducer deliver a gap.
+    throw std::runtime_error(
+        "MpiD: mapper rank " + std::to_string(comm_.rank()) + " got a " +
+        (st.tag == kLaneNackTag ? "NACK" : "REPULL") + " for lane " +
+        std::to_string(lane_idx) + " (reducer rank " +
+        std::to_string(st.source) +
+        ") but retains no frames: resilient_shuffle is off");
+  }
+  const std::uint64_t start = now_ns();
+  std::uint32_t resent = 0;
+  if (st.tag == kRepullTag) {
+    for (const auto& frame : lane.retained) {
+      data_comm_.send_bytes(st.source, kDataTag, frame);
+    }
+    resent = static_cast<std::uint32_t>(lane.retained.size());
+  } else {
+    if (payload.size() < 4) throw std::runtime_error("MpiD: short NACK");
+    std::uint32_t count = 0;
+    std::memcpy(&count, payload.data(), 4);
+    if (payload.size() < 4 + std::size_t{count} * 4) {
+      throw std::runtime_error("MpiD: truncated NACK");
+    }
+    for (std::uint32_t i = 0; i < count; ++i) {
+      std::uint32_t seq = 0;
+      std::memcpy(&seq, payload.data() + 4 + std::size_t{i} * 4, 4);
+      if (seq >= lane.retained.size()) continue;  // stale-incarnation seq
+      // Retransmits go back through the hooked send path: they can be
+      // dropped again, and the next SEAL round NACKs again.
+      data_comm_.send_bytes(st.source, kDataTag, lane.retained[seq]);
+      ++resent;
+    }
+  }
+  stats_.frames_retransmitted += resent;
+  ++stats_.retransmit_requests;
+  send_seal(lane_idx);
+  if (acked[u]) {
+    acked[u] = 0;
+    ++remaining;
+  }
+  if (auto* inj = injector()) {
+    inj->record_recovery(
+        fault::Kind::kRetransmit, "map:" + std::to_string(mapper_index()),
+        st.tag == kRepullTag
+            ? "repull of " + std::to_string(resent) + " frames by reducer " +
+                  std::to_string(lane_idx)
+            : std::to_string(resent) + " frames to reducer " +
+                  std::to_string(lane_idx));
+  }
+  stats_.recovery_wall_ns += now_ns() - start;
 }
 
-void MpiD::resilient_mapper_finalize() {
+void MpiD::close_lanes() {
   for (int r = 0; r < config_.reducers; ++r) send_seal(r);
   std::vector<char> acked(static_cast<std::size_t>(config_.reducers), 0);
   int remaining = config_.reducers;
@@ -1195,164 +1077,141 @@ void MpiD::resilient_mapper_finalize() {
     if (st.source == 0 && st.tag == kAckTag) break;
     handle_lane_control(st, msg, acked, remaining);
   }
-  for (auto& lane : lanes_) lane.retained.clear();
+  release_retained();
 }
 
-void MpiD::resilient_collect() {
-  if (collected_ready_) return;
-  // Under node aggregation only the node leaders ship lanes, so the
-  // collection completes at eos_target() (= node count) sealed lanes;
-  // the non-sender lanes simply never see traffic.
-  int completed = 0;
-  for (const auto& lane : recv_lanes_) completed += lane.complete ? 1 : 0;
-  std::vector<std::byte> msg;
-  while (completed < eos_target()) {
-    const minimpi::Status st =
-        data_comm_.recv_bytes(minimpi::kAnySource, minimpi::kAnyTag, msg);
-    const int m = st.source - 1;
-    if (m < 0 || m >= config_.mappers) {
-      throw std::runtime_error("MpiD: resilient frame from a non-mapper rank");
-    }
-    auto& lane = recv_lanes_[static_cast<std::size_t>(m)];
-    if (st.tag == kDataTag) {
-      // Verify before trusting any header field: the checksum spans
-      // (incarnation, seq, payload), so a flipped header bit cannot reset
-      // a lane or claim a wrong slot.
-      bool corrupt = msg.size() < kFrameHeaderBytes;
-      FrameHeader hdr;
-      if (!corrupt) {
-        hdr = read_header(msg);
-        const std::span<const std::byte> payload(
-            msg.data() + kFrameHeaderBytes, msg.size() - kFrameHeaderBytes);
-        corrupt = frame_checksum(hdr.incarnation, hdr.seq, payload) !=
-                  hdr.checksum;
-        // The codec bit must agree with this job's configured mode — the
-        // mode is uniform across ranks, so a mismatch can only be a frame
-        // the checksum happened to pass; drop it like any corruption.
-        if (!corrupt &&
-            ((hdr.seq & kSeqCodecBit) != 0) != compression_on()) {
-          corrupt = true;
-        }
-        hdr.seq &= ~kSeqCodecBit;
-      }
-      if (corrupt) {
-        ++stats_.corrupt_frames_dropped;
-        if (auto* inj = injector()) {
-          inj->note(fault::Kind::kCorruptDetected,
-                    "reduce:" + std::to_string(reducer_index()),
-                    "frame from mapper " + std::to_string(m));
-        }
-        continue;  // the mapper's SEAL round will NACK the gap
-      }
-      if (hdr.incarnation < lane.incarnation) {
-        ++stats_.duplicate_frames_dropped;  // a dead attempt's frame
-        continue;
-      }
-      if (hdr.incarnation > lane.incarnation) {
-        // The mapper restarted: everything from the old attempt is void.
-        if (lane.complete) {
-          lane.complete = false;
-          --completed;
-        }
-        lane.frames.clear();
-        lane.sealed_total.reset();
-        lane.incarnation = hdr.incarnation;
-      }
-      if (lane.frames.contains(hdr.seq)) {
-        ++stats_.duplicate_frames_dropped;
-        if (auto* inj = injector()) {
-          inj->note(fault::Kind::kDuplicateDetected,
-                    "reduce:" + std::to_string(reducer_index()),
-                    "mapper " + std::to_string(m) + " seq " +
-                        std::to_string(hdr.seq));
-        }
-        continue;
-      }
-      msg.erase(msg.begin(),
-                msg.begin() + static_cast<std::ptrdiff_t>(kFrameHeaderBytes));
-      ++stats_.frames_received;
-      stats_.bytes_received += msg.size();
-      lane.frames.emplace(hdr.seq, std::move(msg));
-      msg = std::vector<std::byte>{};
-      ++progress_ticks_;
-      if (crash_tick_ && progress_ticks_ >= *crash_tick_) {
-        crash_tick_.reset();
-        if (auto* inj = injector()) {
-          inj->note(fault::Kind::kTaskCrash,
-                    "reduce:" + std::to_string(reducer_index()) + "#" +
-                        std::to_string(attempt_));
-        }
-        throw fault::TaskCrash(fault::TaskKind::kReduce, reducer_index(),
-                               attempt_);
-      }
-      if (lane.sealed_total && lane.frames.size() == *lane.sealed_total &&
-          !lane.complete) {
-        lane.complete = true;
-        ++completed;
-        data_comm_.send_bytes(st.source, kLaneAckTag, {});
-      }
-    } else if (st.tag == kEosTag) {
-      if (msg.size() < 8) throw std::runtime_error("MpiD: short SEAL");
-      std::uint32_t inc = 0;
-      std::uint32_t total = 0;
-      std::memcpy(&inc, msg.data(), 4);
-      std::memcpy(&total, msg.data() + 4, 4);
-      if (inc < lane.incarnation) continue;  // a dead attempt's seal
-      if (inc > lane.incarnation) {
-        if (lane.complete) {
-          lane.complete = false;
-          --completed;
-        }
-        lane.frames.clear();
-        lane.incarnation = inc;
-      }
-      lane.sealed_total = total;
-      if (lane.frames.size() == std::size_t{total}) {
-        if (!lane.complete) {
-          lane.complete = true;
-          ++completed;
-        }
-        // (Re-)ACK: the mapper un-acks a lane whenever it retransmits.
-        data_comm_.send_bytes(st.source, kLaneAckTag, {});
-      } else {
-        std::vector<std::uint32_t> missing;
-        for (std::uint32_t s = 0; s < total; ++s) {
-          if (!lane.frames.contains(s)) missing.push_back(s);
-        }
-        std::vector<std::byte> nack;
-        nack.reserve(4 + missing.size() * 4);
-        put_u32(nack, static_cast<std::uint32_t>(missing.size()));
-        for (const auto s : missing) put_u32(nack, s);
-        data_comm_.send_bytes(st.source, kLaneNackTag, nack);
-      }
-    } else {
-      throw std::runtime_error("MpiD: unexpected tag on resilient channel");
-    }
+void MpiD::release_retained() {
+  for (auto& lane : lanes_) {
+    for (auto& frame : lane.retained) pool_->release(std::move(frame));
+    lane.retained.clear();
   }
-  // Every lane sealed and complete: stage payloads for delivery in
-  // (mapper, sequence) order. This is the batch boundary the config
-  // comment documents — Hadoop's semantics, bought for recoverability.
-  // Coded lanes decode fully here (codec, then XOR against the side
-  // terms) — the checksum already vouched for the wire bytes, and staging
-  // raw lets every recv_* flavor skip per-frame special cases.
-  for (std::size_t m = 0; m < recv_lanes_.size(); ++m) {
-    auto& lane = recv_lanes_[m];
-    const bool coded_lane = is_coded_source(static_cast<int>(m));
-    for (auto& [seq, payload] : lane.frames) {
-      if (coded_lane) {
-        auto decoded = decode_coded_payload(
-            unit_of_mapper(static_cast<int>(m)), std::move(payload));
-        if (decoded.empty()) continue;  // round carried nothing for us
-        collected_.push_back(CollectedFrame{std::move(decoded), false});
-      } else {
-        collected_.push_back(
-            CollectedFrame{std::move(payload), compression_on()});
-      }
+}
+
+void MpiD::receive_one() {
+  std::vector<std::byte> msg;
+  const minimpi::Status st =
+      data_comm_.recv_bytes(minimpi::kAnySource, minimpi::kAnyTag, msg);
+  const int m = st.source - 1;
+  if (m < 0 || m >= config_.mappers) {
+    throw std::runtime_error("MpiD: data-channel message from a non-mapper");
+  }
+  auto& lane = recv_lanes_[static_cast<std::size_t>(m)];
+  // A new incarnation voids the dead attempt's frames and SEAL — unless
+  // the lane was already delivered: those frames are gone to the reducer.
+  const auto adopt = [&](std::uint32_t incarnation) {
+    if (lane.delivered) {
+      throw std::runtime_error(
+          "MpiD: reducer rank " + std::to_string(comm_.rank()) +
+          " saw incarnation " + std::to_string(incarnation) + " on lane " +
+          std::to_string(m) + " after delivering incarnation " +
+          std::to_string(lane.incarnation));
     }
     lane.frames.clear();
+    lane.sealed_total.reset();
+    lane.incarnation = incarnation;
+  };
+  if (st.tag == kSealTag) {
+    if (msg.size() < 8) throw std::runtime_error("MpiD: short SEAL");
+    std::uint32_t inc = 0;
+    std::uint32_t total = 0;
+    std::memcpy(&inc, msg.data(), 4);
+    std::memcpy(&total, msg.data() + 4, 4);
+    if (inc < lane.incarnation) return;  // a dead attempt's seal
+    if (inc > lane.incarnation) adopt(inc);
+    lane.sealed_total = total;
+    if (lane.delivered) {
+      // A re-SEAL after a retransmit: the mapper un-acked the lane.
+      data_comm_.send_bytes(st.source, kLaneAckTag, {});
+    } else if (lane.frames.size() == std::size_t{total}) {
+      deliver_lane(m);
+    } else {
+      // {u32 count, u32 seq...}: the sequence numbers still missing.
+      std::vector<std::byte> nack(4);
+      std::uint32_t missing = 0;
+      for (std::uint32_t s = 0; s < total; ++s) {
+        if (!lane.frames.contains(s)) {
+          put_u32(nack, s);
+          ++missing;
+        }
+      }
+      std::memcpy(nack.data(), &missing, 4);
+      data_comm_.send_bytes(st.source, kLaneNackTag, nack);
+    }
+    return;
   }
-  collected_ready_ = true;
-  eos_received_ = eos_target();
+  if (st.tag != kDataTag) {
+    throw std::runtime_error("MpiD: unexpected tag on the data channel");
+  }
+  // Verify before trusting any trailer field: the checksum spans
+  // (incarnation, seq, payload), so a flipped bit cannot reset a lane or
+  // claim a wrong slot. The codec bit must agree with this job's mode —
+  // uniform across ranks — so a mismatch is corruption the checksum
+  // happened to pass.
+  const auto trailer = strip_frame_trailer(msg);
+  if (!trailer || trailer->codec_framed != compression_on()) {
+    ++stats_.corrupt_frames_dropped;
+    if (auto* inj = injector()) {
+      inj->note(fault::Kind::kCorruptDetected,
+                "reduce:" + std::to_string(reducer_index()),
+                "frame from mapper " + std::to_string(m));
+    }
+    return;  // the mapper's SEAL round will NACK the gap
+  }
+  if (trailer->incarnation < lane.incarnation) {
+    ++stats_.duplicate_frames_dropped;  // a dead attempt's frame
+    return;
+  }
+  if (trailer->incarnation > lane.incarnation) adopt(trailer->incarnation);
+  if (lane.delivered || lane.frames.contains(trailer->seq)) {
+    ++stats_.duplicate_frames_dropped;
+    if (auto* inj = injector()) {
+      inj->note(fault::Kind::kDuplicateDetected,
+                "reduce:" + std::to_string(reducer_index()),
+                "mapper " + std::to_string(m) + " seq " +
+                    std::to_string(trailer->seq));
+    }
+    return;
+  }
+  ++stats_.frames_received;
+  stats_.bytes_received += msg.size();
+  lane.frames.emplace(trailer->seq, std::move(msg));
+  ++progress_ticks_;
+  if (crash_tick_ && progress_ticks_ >= *crash_tick_) {
+    crash_tick_.reset();
+    if (auto* inj = injector()) {
+      inj->note(fault::Kind::kTaskCrash,
+                "reduce:" + std::to_string(reducer_index()) + "#" +
+                    std::to_string(attempt_));
+    }
+    throw fault::TaskCrash(fault::TaskKind::kReduce, reducer_index(),
+                           attempt_);
+  }
+  if (lane.sealed_total && lane.frames.size() == *lane.sealed_total) {
+    deliver_lane(m);
+  }
+}
+
+void MpiD::deliver_lane(int mapper) {
+  // Coded lanes decode fully here (codec, then XOR against the side
+  // terms): the checksum already vouched for the wire bytes, and staging
+  // raw lets every recv_* flavor skip per-frame special cases.
+  auto& lane = recv_lanes_[static_cast<std::size_t>(mapper)];
+  const bool coded_lane = is_coded_source(mapper);
+  for (auto& [seq, payload] : lane.frames) {
+    if (coded_lane) {
+      auto decoded =
+          decode_coded_payload(unit_of_mapper(mapper), std::move(payload));
+      if (decoded.empty()) continue;  // round carried nothing for us
+      collected_.push_back(CollectedFrame{std::move(decoded), false});
+    } else {
+      collected_.push_back(
+          CollectedFrame{std::move(payload), compression_on()});
+    }
+  }
+  lane.frames.clear();
+  lane.delivered = true;
+  ++lanes_delivered_;
+  data_comm_.send_bytes(1 + mapper, kLaneAckTag, {});
 }
 
 void MpiD::restart_mapper() {
@@ -1366,15 +1225,9 @@ void MpiD::restart_mapper() {
   ++attempt_;
   ++incarnation_;
   ++stats_.task_restarts;
-  map_buffer_->clear();
-  node_staged_.clear();  // staged node-aggregation frames of the dead attempt
   coded_streams_.clear();  // staged coded matrix of the dead attempt
   for (std::size_t p = 0; p < inflight_.size(); ++p) drain_inflight(p);
-  encoder_->reset();
-  for (auto& lane : lanes_) {
-    lane.next_seq = 0;
-    lane.retained.clear();
-  }
+  reset_send_side();
   if (auto* inj = injector()) {
     inj->record_recovery(fault::Kind::kTaskReexec,
                          "map:" + std::to_string(mapper_index()) + "#" +
@@ -1394,24 +1247,11 @@ void MpiD::restart_reducer() {
   const std::uint64_t start = now_ns();
   ++attempt_;
   ++stats_.task_restarts;
-  for (auto& lane : recv_lanes_) {
-    // Incarnations survive: they track the mappers' attempts, not ours.
-    lane.frames.clear();
-    lane.sealed_total.reset();
-    lane.complete = false;
-  }
-  collected_.clear();
-  collected_ready_ = false;
+  reset_receive_side();
   // Side terms and local frames survive: the replica map work is
   // deterministic, so the re-pulled lanes decode against the same terms.
   // Only the delivery cursor rewinds.
   coded_local_cursor_ = 0;
-  current_view_.reset();
-  delivery_reader_.reset();
-  if (!delivery_frame_.empty()) pool_->release(std::move(delivery_frame_));
-  delivery_frame_ = std::vector<std::byte>{};
-  current_value_index_ = 0;
-  eos_received_ = 0;
   progress_ticks_ = 0;
   crash_tick_.reset();
   if (auto* inj = injector()) {
@@ -1420,7 +1260,7 @@ void MpiD::restart_reducer() {
     inj->record_recovery(fault::Kind::kRepull,
                          "reduce:" + std::to_string(reducer_index()) + "#" +
                              std::to_string(attempt_),
-                         "re-pulling " + std::to_string(eos_target()) +
+                         "re-pulling " + std::to_string(lanes_expected()) +
                              " lanes");
   }
   // Only the ranks that shipped lanes can re-serve them: every mapper

@@ -305,17 +305,19 @@ void ChainState::trim(std::size_t rounds) {
 /// rounds); later rounds map this partition's resident pairs through the
 /// current stage's map. Chain accounting accumulates into `acc`;
 /// `reingest` marks the unchained ablation, where resident pairs count as
-/// re-ingested external bytes instead of resident reads.
+/// re-ingested external bytes instead of resident reads. `map_ticks` is
+/// run_map_task's chain-wide crash-tick carry (null: one-round job).
 void run_map_side(core::MpiD& mpid, const ChainJob& job,
                   const PlanCursor& cur, int round, int p,
                   RecordSource* source, const ResidentPartition& resident,
                   const StaticTables* statics, bool reingest,
-                  shuffle::ShuffleCounters& acc) {
+                  shuffle::ShuffleCounters& acc, std::uint64_t* map_ticks) {
   if (source != nullptr) {
     std::vector<std::string> split;
     detail::run_map_task(mpid, job.tuning,
                          detail::source_map_task(*source, job.ingest, p, split,
-                                                 &acc.ingest_bytes));
+                                                 &acc.ingest_bytes),
+                         map_ticks);
     return;
   }
   // Resident round: this partition's sealed pairs are the map input, in
@@ -350,7 +352,7 @@ void run_map_side(core::MpiD& mpid, const ChainJob& job,
       stage.map(pairs[i].first, pairs[i].second, ctx);
     }
   };
-  detail::run_map_task(mpid, job.tuning, task);
+  detail::run_map_task(mpid, job.tuning, task, map_ticks);
 }
 
 /// One rank's share of one round: a mapper maps; a reducer merges the
@@ -359,10 +361,12 @@ void run_map_side(core::MpiD& mpid, const ChainJob& job,
 /// round a converged chain ends with — the mappers still seal their
 /// lanes at the barrier, so the reducers drain the empty shuffle, but
 /// nothing maps or seals.
-/// `chained` false is the unchained ablation (see run_map_side).
+/// `chained` false is the unchained ablation (see run_map_side), whose
+/// rounds are separate jobs and pass no `map_ticks`.
 void run_round(core::MpiD& mpid, ChainState& state, const ChainJob& job,
                const PlanCursor& cur, int round,
-               std::vector<RecordSource>& inputs, bool live, bool chained) {
+               std::vector<RecordSource>& inputs, bool live, bool chained,
+               std::uint64_t* map_ticks) {
   switch (mpid.role()) {
     case core::Role::kMapper: {
       if (!live) return;
@@ -371,7 +375,7 @@ void run_round(core::MpiD& mpid, ChainState& state, const ChainJob& job,
       shuffle::ShuffleCounters acc;
       run_map_side(mpid, job, cur, round, p,
                    round == 1 ? &inputs[slot] : nullptr, state.resident[slot],
-                   state.statics, /*reingest=*/!chained, acc);
+                   state.statics, /*reingest=*/!chained, acc, map_ticks);
       mpid.fold_counters(acc);
       return;
     }
@@ -488,8 +492,10 @@ ChainResult JobChain::run(const ChainJob& job,
     core::MpiD mpid(comm, config);
     PlanCursor cur;
     bool live = true;  // false: the next barrier is the empty teardown
+    std::uint64_t map_ticks = 0;  // this rank's map attempt, chain-wide
     for (int round = 1;; ++round) {
-      run_round(mpid, state, job, cur, round, inputs, live, /*chained=*/true);
+      run_round(mpid, state, job, cur, round, inputs, live, /*chained=*/true,
+                &map_ticks);
       if (!live || chain_detail::statically_last(job, cur)) break;
       mpid.next_round();
       live = decide_next(state, job, cur, round);
@@ -548,7 +554,7 @@ ChainResult JobChain::run_unchained(const ChainJob& job,
     minimpi::run_world(config.world_size(), [&](minimpi::Comm& comm) {
       core::MpiD mpid(comm, config);
       run_round(mpid, state, job, cur, round, inputs, /*live=*/true,
-                /*chained=*/false);
+                /*chained=*/false, /*map_ticks=*/nullptr);
       mpid.finalize();
       if (mpid.role() == core::Role::kMaster) report = mpid.report();
     });

@@ -69,7 +69,7 @@ std::pair<std::size_t, std::size_t> part_range(std::size_t count,
 }
 
 void run_map_task(core::MpiD& mpid, const core::Config& config,
-                  const MapTask& task) {
+                  const MapTask& task, std::uint64_t* chain_ticks) {
   const Emit send = [&mpid](std::string_view key, std::string_view value) {
     mpid.send(key, value);
   };
@@ -84,6 +84,8 @@ void run_map_task(core::MpiD& mpid, const core::Config& config,
   // worker-pool chunks and coded sub-splits slice it.
   const std::size_t count = task.load();
   const int mapper = mpid.mapper_index();
+  std::uint64_t round_ticks = 0;
+  std::uint64_t& carried = chain_ticks != nullptr ? *chain_ticks : round_ticks;
   for (int safety = 0;; ++safety) {
     const int attempt = mpid.attempt();
     try {
@@ -95,7 +97,7 @@ void run_map_task(core::MpiD& mpid, const core::Config& config,
       // Ticks count records across every chunk or sub-split, which may run
       // on the worker pool, so a scripted crash fires at the same overall
       // progress point whatever the thread count.
-      std::atomic<std::uint64_t> ticks{0};
+      std::atomic<std::uint64_t> ticks{carried};
       const std::function<void()> tick = [&] {
         if (crash_at && ticks.fetch_add(1) + 1 >= *crash_at) {
           inj->note(fault::Kind::kTaskCrash, "map:" + std::to_string(mapper) +
@@ -122,9 +124,11 @@ void run_map_task(core::MpiD& mpid, const core::Config& config,
       } else {
         task.map_range(0, count, send, tick);
       }
+      carried = ticks.load();
       return;
     } catch (const fault::TaskCrash&) {
       if (inj == nullptr || safety >= kMaxTaskAttempts) throw;
+      carried = 0;
       mpid.restart_mapper();
     }
   }

@@ -62,8 +62,12 @@ std::pair<std::size_t, std::size_t> part_range(std::size_t count,
 /// a crashed attempt from the first record (restart_mapper), map_threads
 /// > 1 maps resolve_map_chunks() chunks on the rank's worker pool, and
 /// the coded shuffle maps its r sub-splits through run_map_coded.
+/// `chain_ticks` (nullable) carries the current attempt's crash-tick count
+/// across the rounds of a chain, so an injected map crash can land in any
+/// round, as a reducer's does: it holds the records this attempt mapped
+/// in earlier rounds, and a restart zeroes it.
 void run_map_task(core::MpiD& mpid, const core::Config& config,
-                  const MapTask& task);
+                  const MapTask& task, std::uint64_t* chain_ticks = nullptr);
 
 /// The reduce side of one task, or of one chain round, on a reducer rank.
 class ReduceTask {

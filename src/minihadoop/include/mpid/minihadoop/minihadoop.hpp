@@ -63,12 +63,6 @@ struct MiniJobConfig : shuffle::ShuffleOptions {
   /// Present keys to reduce() in sorted order (Hadoop semantics).
   bool sorted_reduce = true;
 
-  /// Legacy spelling of the compression size floor (the
-  /// mapred.compress.map.output threshold analog): non-zero overrides the
-  /// inherited compress_min_frame_bytes for this job; 0 (the default)
-  /// uses the shared ShuffleOptions value, so both runtimes agree.
-  std::size_t compress_min_segment_bytes = 0;
-
   // --- fault tolerance (all Hadoop 0.20 analogs) ---
 
   /// Optional deterministic fault source; null runs the job fault-free.

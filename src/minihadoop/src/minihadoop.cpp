@@ -307,13 +307,7 @@ JobSummary MiniCluster::run_internal(const MiniJobConfig& config,
     throw std::invalid_argument("MiniCluster: attempt budgets must be >= 1");
   }
 
-  // Resolve the shared shuffle knobs. The legacy compress_min_segment_bytes
-  // spelling (when set) overrides the inherited compress_min_frame_bytes,
-  // so old callers keep their threshold while new ones share MPI-D's.
-  shuffle::ShuffleOptions opts = config;
-  if (config.compress_min_segment_bytes != 0) {
-    opts.compress_min_frame_bytes = config.compress_min_segment_bytes;
-  }
+  const shuffle::ShuffleOptions opts = config;
   opts.validate();
   if (opts.coded_replication > 1) {
     throw std::invalid_argument(

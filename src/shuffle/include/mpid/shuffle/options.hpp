@@ -47,6 +47,11 @@ enum class ShuffleCompression { kOff, kAuto, kOn };
 using Combiner = std::function<std::vector<std::string>(
     std::string_view key, std::vector<std::string>&& values)>;
 
+/// Spare capacity the pipeline reserves past every frame it allocates, so
+/// a transport can append its trailer (MPI-D's 16-byte frame trailer)
+/// without reallocating the frame.
+inline constexpr std::size_t kFrameTailRoom = 16;
+
 /// Partition selector: maps a key to a partition index in
 /// [0, partitions). The default is the paper's hash-mod selector
 /// ("similar to the HashPartitioner in the Hadoop MapReduce framework");

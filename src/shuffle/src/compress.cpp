@@ -42,10 +42,10 @@ std::vector<std::byte> FrameCompressor::encode(std::vector<std::byte> frame,
 
   std::vector<std::byte> wire;
   if (pool_) {
-    wire = pool_->acquire(frame.size() + 16);
+    wire = pool_->acquire(frame.size() + 16 + kFrameTailRoom);
     wire.clear();
   } else {
-    wire.reserve(frame.size() + 16);
+    wire.reserve(frame.size() + 16 + kFrameTailRoom);
   }
   const std::uint64_t start = now_ns();
   const auto result = skip ? common::store_frame(frame, wire)

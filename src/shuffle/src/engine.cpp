@@ -29,16 +29,20 @@ SpillEncoder::SpillEncoder(const ShuffleOptions& options, Setup setup)
       counters_(setup.counters),
       sink_(std::move(setup.sink)),
       writers_(setup.partitions),
-      capacity_hint_(flush_bytes_ == kUnboundedFrame ? 0 : flush_bytes_) {}
+      capacity_hint_(flush_bytes_ == kUnboundedFrame
+                         ? 0
+                         : flush_bytes_ + kFrameTailRoom) {}
 
 void SpillEncoder::spill(MapOutputBuffer& buffer) {
   if (buffer.empty()) return;
   const std::uint64_t start = now_ns();
   if (flush_bytes_ != kUnboundedFrame) {
     // Reserve every frame at the flush threshold plus the buffer's exact
-    // worst-case single-entry overshoot: no append can reallocate a frame
-    // mid-spill, and pool acquisitions reuse the same bound.
-    capacity_hint_ = flush_bytes_ + buffer.max_entry_frame_bytes();
+    // worst-case single-entry overshoot and the transport's tail room: no
+    // append can reallocate a frame, and pool acquisitions reuse the same
+    // bound.
+    capacity_hint_ =
+        flush_bytes_ + buffer.max_entry_frame_bytes() + kFrameTailRoom;
     for (auto& w : writers_) {
       if (layout_ == Layout::kKvList) {
         w.list.reserve(capacity_hint_);

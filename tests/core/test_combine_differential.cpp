@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <map>
 #include <mutex>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -165,6 +166,11 @@ struct StreamParams {
   bool sorted;          // sorted spill drains (Hadoop-style)
   std::uint64_t seed;
 };
+
+// gtest_discover_tests names each case after the printed parameter; by
+// itself it prints the struct's bytes, `name`'s pointer included, which
+// moves from build to build.
+void PrintTo(const StreamParams& p, std::ostream* os) { *os << p.name; }
 
 class CombineDifferentialTest : public ::testing::TestWithParam<StreamParams> {
 };

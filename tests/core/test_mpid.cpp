@@ -6,6 +6,7 @@
 #include <map>
 #include <mutex>
 #include <numeric>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -280,32 +281,37 @@ TEST(MpiD, RecvGroupReturnsRemainderAfterPartialRecv) {
 }
 
 TEST(MpiD, MasterReportAggregatesStats) {
-  Config cfg;
-  cfg.mappers = 3;
-  cfg.reducers = 2;
-  run_world(cfg.world_size(), [&](Comm& comm) {
-    MpiD d(comm, cfg);
-    if (d.role() == Role::kMapper) {
-      for (int i = 0; i < 10; ++i) d.send("k" + std::to_string(i), "1");
-      d.finalize();
-    } else if (d.role() == Role::kReducer) {
-      std::string k, v;
-      while (d.recv(k, v)) {
+  // Both modes share one data channel, so the byte counters agree in both.
+  for (const bool resilient : {false, true}) {
+    SCOPED_TRACE(resilient ? "resilient" : "plain");
+    Config cfg;
+    cfg.mappers = 3;
+    cfg.reducers = 2;
+    cfg.resilient_shuffle = resilient;
+    run_world(cfg.world_size(), [&](Comm& comm) {
+      MpiD d(comm, cfg);
+      if (d.role() == Role::kMapper) {
+        for (int i = 0; i < 10; ++i) d.send("k" + std::to_string(i), "1");
+        d.finalize();
+      } else if (d.role() == Role::kReducer) {
+        std::string k, v;
+        while (d.recv(k, v)) {
+        }
+        d.finalize();
+      } else {
+        d.finalize();
+        const JobReport& report = d.report();
+        EXPECT_EQ(report.mappers_completed, 3);
+        EXPECT_EQ(report.reducers_completed, 2);
+        EXPECT_EQ(report.totals.pairs_sent, 30u);
+        EXPECT_EQ(report.totals.pairs_received, 30u);
+        EXPECT_GT(report.totals.bytes_sent, 0u);
+        // Conservation: every transmitted payload byte is received.
+        EXPECT_EQ(report.totals.bytes_received, report.totals.bytes_sent);
+        EXPECT_EQ(report.totals.frames_received, report.totals.frames_sent);
       }
-      d.finalize();
-    } else {
-      d.finalize();
-      const JobReport& report = d.report();
-      EXPECT_EQ(report.mappers_completed, 3);
-      EXPECT_EQ(report.reducers_completed, 2);
-      EXPECT_EQ(report.totals.pairs_sent, 30u);
-      EXPECT_EQ(report.totals.pairs_received, 30u);
-      EXPECT_GT(report.totals.bytes_sent, 0u);
-      // Conservation: every transmitted byte is received.
-      EXPECT_EQ(report.totals.bytes_received, report.totals.bytes_sent);
-      EXPECT_EQ(report.totals.frames_received, report.totals.frames_sent);
-    }
-  });
+    });
+  }
 }
 
 TEST(MpiD, ConfigValidation) {
@@ -504,6 +510,13 @@ struct PropertyParam {
   int reducers;
   std::size_t spill_threshold;
 };
+
+// Named after the printed parameter (gtest_discover_tests would otherwise
+// print its raw bytes).
+void PrintTo(const PropertyParam& p, std::ostream* os) {
+  *os << "seed" << p.seed << "_" << p.mappers << "m" << p.reducers << "r_spill"
+      << p.spill_threshold;
+}
 
 class MpiDPropertyTest : public ::testing::TestWithParam<PropertyParam> {};
 

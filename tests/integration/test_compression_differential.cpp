@@ -3,7 +3,7 @@
 // output. This file is the differential proof for both runtimes —
 //   * MPI-D via the mapred JobRunner: hash grouping, sorted reduce,
 //     streaming merge reduce (SortedFrameMerger over decoded frames),
-//     pipelined prefetch, and resilient_shuffle with injected crashes
+//     the pipelined transport, and resilient_shuffle with injected crashes
 //     re-pulling compressed lanes;
 //   * MiniHadoop: DFS part files compared byte for byte across off/auto/
 //     on, with and without tasktracker faults.
@@ -149,7 +149,7 @@ TEST_P(CompressionDifferentialTest, MiniHadoopPartFilesAreByteIdentical) {
        {ModeCase{core::ShuffleCompression::kAuto, "/auto"},
         ModeCase{core::ShuffleCompression::kOn, "/on"}}) {
     job.shuffle_compression = mode_case.mode;
-    job.compress_min_segment_bytes = 128;
+    job.compress_min_frame_bytes = 128;
     job.output_prefix = mode_case.prefix;
     const auto on = cluster.run(job);
 
@@ -179,7 +179,7 @@ TEST_P(CompressionDifferentialTest, MiniHadoopFaultsWithCodec) {
   job.map_tasks = 4;
   job.reduce_tasks = 2;
   job.shuffle_compression = core::ShuffleCompression::kOn;
-  job.compress_min_segment_bytes = 128;
+  job.compress_min_frame_bytes = 128;
 
   job.output_prefix = "/clean";
   const auto clean = cluster.run(job);

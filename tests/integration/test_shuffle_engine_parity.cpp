@@ -345,8 +345,6 @@ TEST(ShuffleEngineParityTest, RuntimeConfigsInheritTheSameShuffleDefaults) {
   EXPECT_EQ(a.compress_skip_ratio, b.compress_skip_ratio);
   EXPECT_EQ(a.compress_skip_after, b.compress_skip_after);
   EXPECT_EQ(a.compress_skip_frames, b.compress_skip_frames);
-  // The legacy MiniHadoop spelling defers to the shared floor by default.
-  EXPECT_EQ(mini_config.compress_min_segment_bytes, 0u);
 }
 
 }  // namespace

@@ -158,8 +158,7 @@ TEST(MailboxShard, DupContextsAreIsolatedAndIndependentlyOrdered) {
   }
 }
 
-/// Pre-posted wildcard irecvs (the pipelined shuffle's prefetch pattern)
-/// must complete in posting order against arrival order: the first posted
+/// Pre-posted wildcard irecvs must complete in posting order against arrival order: the first posted
 /// receive takes the earliest message. Exercises the posted-queue matching
 /// path rather than the unexpected-queue path.
 TEST(MailboxShard, PrePostedWildcardReceivesMatchEarliestFirst) {

@@ -2,6 +2,8 @@
 // and the Figure 6 comparison invariants against the Hadoop simulator.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "mpid/common/units.hpp"
 #include "mpid/hadoop/cluster.hpp"
 #include "mpid/mpidsim/system.hpp"
@@ -84,6 +86,12 @@ struct Fig6Point {
   double min_ratio;
   double max_ratio;
 };
+
+// Named after the printed parameter (gtest_discover_tests would otherwise
+// print its raw bytes).
+void PrintTo(const Fig6Point& p, std::ostream* os) {
+  *os << p.input / GiB << "GiB";
+}
 
 class Fig6Test : public ::testing::TestWithParam<Fig6Point> {};
 
