@@ -195,14 +195,42 @@ BENCHMARK(BM_KvCombineTable)
     ->Args({1, 1})
     ->ArgNames({"zipf", "combiner"});
 
-/// Sorted drain (Hadoop-style spills): the index sort is the only extra
-/// work, entries never move.
+/// TeraSort-shaped map output: unique 10-byte printable keys, 90-byte
+/// values, one spill's worth (~1.6 MB).
+constexpr std::size_t kSortRecords = 16 * 1024;
+
+std::vector<std::pair<std::string, std::string>> make_sort_records(
+    std::uint64_t seed) {
+  common::Xoshiro256StarStar rng(seed);
+  const auto printable = [&](std::size_t n) {
+    std::string s(n, ' ');
+    for (auto& c : s) c = static_cast<char>(' ' + rng.next_below(95));
+    return s;
+  };
+  std::vector<std::pair<std::string, std::string>> records;
+  records.reserve(kSortRecords);
+  for (std::size_t i = 0; i < kSortRecords; ++i) {
+    auto key = printable(10);  // before the value: argument order is free
+    records.emplace_back(std::move(key), printable(90));
+  }
+  return records;
+}
+
+/// Sorted drain (Hadoop-style spills): the prefix sort is the only extra
+/// work, entries never move. unique:0 is the Zipf WordCount stream
+/// (short keys, many repeats); unique:1 is TeraSort-shaped.
 void BM_KvCombineTableSortedSpill(benchmark::State& state) {
-  const auto keys = make_stream(true, 77);
+  const bool unique = state.range(0) != 0;
+  std::vector<std::pair<std::string, std::string>> pairs;
+  if (unique) {
+    pairs = make_sort_records(77);
+  } else {
+    for (auto& key : make_stream(true, 77)) pairs.emplace_back(key, "1");
+  }
   common::KvCombineTable table;
   common::KvListWriter writer;
   for (auto _ : state) {
-    for (const auto& key : keys) table.append(key, "1");
+    for (const auto& [key, value] : pairs) table.append(key, value);
     table.for_each(true, [&](const common::KvCombineTable::EntryView& e) {
       writer.begin_group(e.key, e.value_count);
       auto cursor = e.values;
@@ -213,9 +241,9 @@ void BM_KvCombineTableSortedSpill(benchmark::State& state) {
     writer.clear();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kPairs));
+                          static_cast<std::int64_t>(pairs.size()));
 }
-BENCHMARK(BM_KvCombineTableSortedSpill);
+BENCHMARK(BM_KvCombineTableSortedSpill)->Arg(0)->Arg(1)->ArgName("unique");
 
 }  // namespace
 

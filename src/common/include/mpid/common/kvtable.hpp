@@ -26,7 +26,13 @@
 // internal free list.
 //
 // Iteration is deterministic: first-insertion order, or sorted by key on
-// demand (for_each(sorted=true)) to feed Hadoop-style sorted spills.
+// demand (for_each(sorted=true)) to feed Hadoop-style sorted spills. The
+// sort never compares through the entry array: one sequential pass packs
+// each entry's first 8 key bytes (big-endian, zero-padded) with its index,
+// an LSD radix sort orders those pairs by prefix (skipping byte positions
+// every key shares), and only runs of equal prefixes fall back to a full
+// key compare. The drain then prefetches the entry, key and first value
+// block a few positions ahead of the visit.
 #pragma once
 
 #include <cstddef>
@@ -202,18 +208,31 @@ class KvCombineTable {
   std::size_t max_entry_frame_bytes() const noexcept;
 
   /// Visits every entry: first-insertion order, or sorted by key when
-  /// `sorted` (one index-array sort; entries themselves never move).
-  /// `fn` receives an EntryView by value.
+  /// `sorted` — unsigned byte-wise, a key before every key it prefixes
+  /// (std::string_view order). Sorting orders (prefix, index) pairs;
+  /// entries themselves never move. The sorted visit prefetches the
+  /// entry kPrefetchAhead * 2 positions ahead, then its key and first
+  /// value block kPrefetchAhead ahead, so the random-order walk does not
+  /// stall on them. `fn` receives an EntryView by value.
   template <typename Fn>
   void for_each(bool sorted, Fn&& fn) const {
     if (!sorted) {
       for (std::uint32_t i = 0; i < entries_.size(); ++i) fn(view_of(i));
       return;
     }
-    std::vector<std::uint32_t> order(entries_.size());
-    for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-    sort_by_key(order);
-    for (const auto i : order) fn(view_of(i));
+    const auto order = sort_by_key();
+    const std::size_t n = order.size();
+    for (std::size_t k = 0; k < n; ++k) {
+      if (k + 2 * kPrefetchAhead < n) {
+        __builtin_prefetch(&entries_[order[k + 2 * kPrefetchAhead].index]);
+      }
+      if (k + kPrefetchAhead < n) {
+        const Entry& ahead = entries_[order[k + kPrefetchAhead].index];
+        __builtin_prefetch(ahead.key);
+        __builtin_prefetch(ahead.head);
+      }
+      fn(view_of(order[k].index));
+    }
   }
 
   /// Drains the table back to empty without freeing: slots are cleared,
@@ -279,7 +298,16 @@ class KvCombineTable {
   void append_encoded(Entry& e, std::string_view value);
   void grow();
   EntryView view_of(std::uint32_t index) const noexcept;
-  void sort_by_key(std::vector<std::uint32_t>& order) const;
+  /// One entry of the sort: the key's first 8 bytes, big-endian and
+  /// zero-padded (so integer order is byte order), and its entry index.
+  struct SortSlot {
+    std::uint64_t prefix = 0;
+    std::uint32_t index = 0;
+  };
+  static constexpr std::size_t kPrefetchAhead = 4;
+
+  /// Every entry, ascending by key.
+  std::vector<SortSlot> sort_by_key() const;
   static std::size_t group_frame_bytes(const Entry& e) noexcept;
 
   Options options_;

@@ -1,9 +1,11 @@
 #include "mpid/common/kvtable.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "mpid/common/hash.hpp"
 #include "mpid/common/kvframe.hpp"
@@ -37,6 +39,51 @@ std::size_t encode_varint(std::byte* out, std::uint64_t v) noexcept {
   }
   out[n++] = static_cast<std::byte>(v);
   return n;
+}
+
+/// The first 8 bytes of `key` as a big-endian integer, zero-padded, so
+/// integer order is unsigned byte order.
+std::uint64_t key_prefix(const char* key, std::uint32_t len) noexcept {
+  std::uint64_t word = 0;
+  if (len >= sizeof(word)) {
+    std::memcpy(&word, key, sizeof(word));
+  } else {
+    std::memcpy(&word, key, len);
+  }
+  if constexpr (std::endian::native == std::endian::little) {
+    word = __builtin_bswap64(word);
+  }
+  return word;
+}
+
+/// Sorts `slots` by their 64-bit `prefix`: LSD radix, one byte per pass,
+/// least significant first. Each pass is stable, so it keeps the order
+/// the earlier passes made.
+template <typename Slot>
+void radix_sort_by_prefix(std::vector<Slot>& slots) {
+  const std::size_t n = slots.size();
+  if (n < 2) return;
+  std::array<std::array<std::uint32_t, 256>, 8> counts{};
+  for (const auto& s : slots) {
+    for (unsigned b = 0; b < 8; ++b) ++counts[b][(s.prefix >> (8 * b)) & 0xff];
+  }
+  std::vector<Slot> scratch(n);
+  Slot* src = slots.data();
+  Slot* dst = scratch.data();
+  for (unsigned b = 0; b < 8; ++b) {
+    const unsigned shift = 8 * b;
+    auto& count = counts[b];
+    // Every key has the same byte here (short keys' zero padding, or a
+    // shared leading byte), so the pass would move nothing.
+    if (count[(src[0].prefix >> shift) & 0xff] == n) continue;
+    std::uint32_t offset = 0;
+    for (auto& c : count) offset += std::exchange(c, offset);
+    for (std::size_t i = 0; i < n; ++i) {
+      dst[count[(src[i].prefix >> shift) & 0xff]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  if (src != slots.data()) slots.swap(scratch);
 }
 
 }  // namespace
@@ -324,12 +371,31 @@ void KvCombineTable::replace_at(std::uint32_t index,
   bytes_peak_ = std::max(bytes_peak_, bytes_used_);
 }
 
-void KvCombineTable::sort_by_key(std::vector<std::uint32_t>& order) const {
-  std::sort(order.begin(), order.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              return std::string_view(entries_[a].key, entries_[a].key_len) <
-                     std::string_view(entries_[b].key, entries_[b].key_len);
-            });
+std::vector<KvCombineTable::SortSlot> KvCombineTable::sort_by_key() const {
+  const std::size_t n = entries_.size();
+  std::vector<SortSlot> order(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    order[i] = {key_prefix(entries_[i].key, entries_[i].key_len), i};
+  }
+  radix_sort_by_prefix(order);
+  // Tie pass: only keys sharing all 8 prefix bytes (or a short key and
+  // its zero-extended twins, "ab" vs "ab\0") need the full compare.
+  const auto key_less = [this](const SortSlot& a, const SortSlot& b) {
+    const Entry& x = entries_[a.index];
+    const Entry& y = entries_[b.index];
+    return std::string_view(x.key, x.key_len) <
+           std::string_view(y.key, y.key_len);
+  };
+  for (std::size_t lo = 0; lo < n;) {
+    std::size_t hi = lo + 1;
+    while (hi < n && order[hi].prefix == order[lo].prefix) ++hi;
+    if (hi - lo > 1) {
+      std::sort(order.begin() + static_cast<std::ptrdiff_t>(lo),
+                order.begin() + static_cast<std::ptrdiff_t>(hi), key_less);
+    }
+    lo = hi;
+  }
+  return order;
 }
 
 void KvCombineTable::recycle() noexcept {

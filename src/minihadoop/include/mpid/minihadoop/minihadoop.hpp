@@ -97,6 +97,10 @@ struct JobSummary : shuffle::ShuffleCounters {
   std::uint64_t map_output_pairs = 0;     // after the combiner (committed)
   std::uint64_t shuffled_bytes = 0;       // HTTP bodies fetched
   std::uint64_t shuffle_requests = 0;     // GETs issued
+  /// Distinct tasktrackers serving committed map output at job end (the
+  /// jobtracker's map locations): node aggregation fetches one stream
+  /// per (map tracker, reduce).
+  std::uint64_t map_trackers = 0;
   std::uint64_t heartbeats = 0;           // RPC control-plane calls
   std::vector<std::string> output_files;  // DFS paths written
 

@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -1015,6 +1016,9 @@ JobSummary MiniCluster::run_internal(const MiniJobConfig& config,
   summary.map_output_pairs = map_output_pairs.load();
   summary.shuffled_bytes = shuffled_bytes.load();
   summary.shuffle_requests = shuffle_requests.load();
+  std::set<int> map_trackers;
+  for (const auto& st : tracker_state.maps) map_trackers.insert(st.location);
+  summary.map_trackers = map_trackers.size();
   summary.heartbeats = tracker_state.heartbeats.load();
   summary.map_reexecutions = tracker_state.map_reexecutions;
   summary.reduce_reexecutions = tracker_state.reduce_reexecutions;

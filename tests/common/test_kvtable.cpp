@@ -11,6 +11,7 @@
 #include "mpid/common/kvframe.hpp"
 #include "mpid/common/kvtable.hpp"
 #include "mpid/common/prng.hpp"
+#include "adversarial_keys.hpp"
 
 namespace mpid::common {
 namespace {
@@ -69,6 +70,47 @@ TEST(KvCombineTable, SortedIteration) {
   });
   EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
   EXPECT_EQ(seen.size(), 5u);
+}
+
+/// The sorted visit of a table holding `keys` (each appended 1-3 times,
+/// interleaved) against std::sort of the same keys.
+void expect_sorted_visit(KvCombineTable& table,
+                         const std::vector<std::string>& keys,
+                         std::uint64_t seed) {
+  Xoshiro256StarStar rng(seed);
+  std::map<std::string, std::size_t> copies;
+  for (const auto& key : keys) {
+    copies[key] = 1 + rng.next_below(3);
+    table.append(key, "v");
+  }
+  for (const auto& [key, count] : copies) {
+    for (std::size_t c = 1; c < count; ++c) table.append(key, "v");
+  }
+  std::vector<std::string> expected = keys;
+  std::sort(expected.begin(), expected.end());
+  std::vector<std::string> seen;
+  table.for_each(true, [&](const KvCombineTable::EntryView& e) {
+    EXPECT_EQ(e.value_count, copies.at(std::string(e.key)));
+    seen.emplace_back(e.key);
+  });
+  EXPECT_EQ(seen, expected);
+}
+
+TEST(KvCombineTable, SortedIterationMatchesStdSortOnAdversarialKeys) {
+  // Empty and one-entry tables skip the radix passes; larger ones run them.
+  for (const std::size_t n : {0, 1, 2, 3, 13, 63, 64, 65, 200, 3000}) {
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " seed=" + std::to_string(seed));
+      const auto keys = test::adversarial_keys(n, seed);
+      ASSERT_EQ(keys.size(), n);
+      KvCombineTable table;
+      expect_sorted_visit(table, keys, seed);
+      // The same table after a recycle, with a different key set.
+      table.recycle();
+      expect_sorted_visit(table, test::adversarial_keys(n, seed + 1000),
+                          seed);
+    }
+  }
 }
 
 TEST(KvCombineTable, ReplaceRewritesInPlace) {

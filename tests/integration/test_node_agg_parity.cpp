@@ -145,10 +145,46 @@ TEST_P(NodeAggParityTest, MiniHadoopAggregatedOutputIsByteIdentical) {
               dfs.read(direct.output_files[i]));
   }
   EXPECT_GT(aggregated.bytes_pre_node_agg, aggregated.bytes_post_node_agg);
-  // One merged stream per (tracker, reducer): 2 trackers × 2 reducers
-  // instead of 4 maps × 2 reducers.
-  EXPECT_EQ(aggregated.shuffle_requests, 4u);
-  EXPECT_EQ(direct.shuffle_requests, 8u);
+  // One merged stream per (tracker serving maps, reducer) instead of one
+  // per (map, reducer). Which trackers ran maps is up to scheduling, so
+  // the count follows the reported placement.
+  EXPECT_GE(aggregated.map_trackers, 1u);
+  EXPECT_LE(aggregated.map_trackers, 2u);
+  EXPECT_EQ(aggregated.shuffle_requests,
+            aggregated.map_trackers * config.reduce_tasks);
+  EXPECT_EQ(direct.shuffle_requests, 4u * 2u);
+}
+
+TEST(NodeAggParityTest, MiniHadoopSingleTrackerFetchesOneStreamPerReducer) {
+  // The placement the two-tracker case can fall into when one tracker
+  // takes every map: all four segments come back as one merged stream
+  // per reducer.
+  const auto text = corpus(804);
+  dfs::MiniDfs dfs(2);
+  dfs.create("/in", text);
+  minihadoop::MiniCluster cluster(dfs, /*trackers=*/1);
+  minihadoop::MiniJobConfig config;
+  config.map = wordcount_map();
+  config.reduce = wordcount_reduce();
+  config.combiner = wordcount_combiner();
+  config.input_path = "/in";
+  config.map_tasks = 4;
+  config.reduce_tasks = 2;
+  config.output_prefix = "/direct";
+  const auto direct = cluster.run(config);
+  config.node_aggregation = true;
+  config.output_prefix = "/aggregated";
+  const auto aggregated = cluster.run(config);
+
+  ASSERT_EQ(aggregated.output_files.size(), direct.output_files.size());
+  for (std::size_t i = 0; i < aggregated.output_files.size(); ++i) {
+    EXPECT_EQ(dfs.read(aggregated.output_files[i]),
+              dfs.read(direct.output_files[i]));
+  }
+  EXPECT_EQ(direct.map_trackers, 1u);
+  EXPECT_EQ(aggregated.map_trackers, 1u);
+  EXPECT_EQ(aggregated.shuffle_requests, 2u);
+  EXPECT_EQ(direct.shuffle_requests, 4u * 2u);
 }
 
 TEST(NodeAggParityTest, SortJobStaysByteIdenticalWhenValuesAreOrdered) {

@@ -14,6 +14,7 @@
 
 #include "mpid/common/hash.hpp"
 #include "mpid/shuffle/buffer.hpp"
+#include "../common/adversarial_keys.hpp"
 
 namespace mpid::shuffle {
 namespace {
@@ -190,6 +191,38 @@ TEST(MapOutputBufferTest, ForEachGroupMatchesAcrossModesAndDoesNotDrain) {
     EXPECT_FALSE(buffer.empty());
     EXPECT_EQ(counters.spills, 0u);
     EXPECT_EQ(groups, reference.groups(sorted)) << "sorted=" << sorted;
+  }
+}
+
+TEST(MapOutputBufferTest, SortedDrainAndGroupsMatchStdSortOnAdversarialKeys) {
+  // The combine table's prefix sort seen through both sorted consumers;
+  // the second round runs on the arenas the first drain recycled.
+  for (const std::size_t n : {0, 1, 2, 63, 64, 65, 1000}) {
+    const ShuffleOptions opts;
+    ShuffleCounters counters;
+    MapOutputBuffer buffer(opts, nullptr, &counters);
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " seed=" + std::to_string(seed));
+      const auto keys = test::adversarial_keys(n, seed);
+      ReferenceBuffer reference;
+      for (std::size_t round = 0; round < 2; ++round) {
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+          for (std::size_t c = 0; c <= (i + round) % 3; ++c) {
+            const auto value = std::to_string(i) + "/" + std::to_string(c);
+            buffer.append(keys[i], value);
+            reference.append(keys[i], value);
+          }
+        }
+      }
+      Groups grouped;
+      buffer.for_each_group(
+          true, [&](std::string_view key, const std::vector<std::string>& v) {
+            grouped.emplace_back(std::string(key), v);
+          });
+      EXPECT_EQ(grouped, reference.groups(true));
+      EXPECT_EQ(drain_groups(buffer, true), reference.groups(true));
+      EXPECT_TRUE(buffer.empty());
+    }
   }
 }
 
