@@ -136,7 +136,6 @@ void BM_MpidWordCount(benchmark::State& state) {
   const mapred::JobRunner runner(4, 2);
   auto job = wordcount(combine);
   job.tuning.map_threads = threads;
-  job.tuning.reduce_threads = threads;
 
   std::uint64_t sent_bytes = 0, sent_pairs = 0, stall_ns = 0;
   std::uint64_t combine_ns = 0, spill_ns = 0, table_peak = 0;

@@ -91,8 +91,7 @@ void BM_ThreadedMapCombine(benchmark::State& state) {
       };
       shuffle::ParallelMapper mapper(options, std::move(setup));
 
-      const auto chunks =
-          shuffle::resolve_map_chunks(options, inputs[r].size());
+      const auto chunks = shuffle::resolve_map_chunks(inputs[r].size());
       const auto views =
           mapred::split_text(inputs[r], static_cast<int>(chunks));
       pairs += mapper.run(pool, views.size(),

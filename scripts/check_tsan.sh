@@ -5,9 +5,11 @@
 # -fsanitize=thread (cmake -DMPID_SANITIZE=thread) in a separate build
 # tree and runs them. These are the suites that exercise the sharded
 # mailboxes, the pipelined zero-copy shuffle window, the shared FramePool
-# across rank threads, and the hybrid process+threads worker pool
-# (WorkerPool / ParallelMapper / the threaded SegmentMerger prepare) —
-# any data race there is a correctness bug, not a perf detail.
+# across rank threads, and the map-side worker pool (WorkerPool /
+# ParallelMapper) — any data race there is a correctness bug, not a perf
+# detail. A short slice of the seeded chaos sweep (test_chaos) then runs
+# the resilient shuffle's fault paths — drops, corruption, task crashes,
+# re-pulls — under the same instrumentation.
 #
 # Usage: scripts/check_tsan.sh [extra gtest args...]
 set -euo pipefail
@@ -18,7 +20,7 @@ BUILD_DIR=build-tsan
 cmake -B "$BUILD_DIR" -S . -DMPID_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build "$BUILD_DIR" --target test_minimpi test_mpid test_shuffle test_common \
-  test_integration -j
+  test_integration test_chaos -j
 
 # halt_on_error makes a race fail the test run instead of just logging.
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
@@ -33,5 +35,10 @@ done
 # parity matrix exercises both compositions under instrumentation.
 echo "=== TSan: test_integration (coded parity) ==="
 "$BUILD_DIR/tests/test_integration" --gtest_filter='*CodedParity*' "$@"
+
+# 150 plans per workload (wordcount, sort, cc) keep the instrumented
+# slice short; the uninstrumented tier-1 run covers more plans.
+echo "=== TSan: test_chaos (150 plans per workload) ==="
+MPID_CHAOS_PLANS=150 "$BUILD_DIR/tests/test_chaos" "$@"
 
 echo "TSan check passed."

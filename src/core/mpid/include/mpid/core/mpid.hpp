@@ -149,34 +149,20 @@ class MpiD {
   bool recv_group_views(std::string_view& key,
                         std::vector<std::string_view>& values);
 
-  /// Raw-frame variant: one realigned partition frame exactly as a mapper
-  /// shipped it; false once every lane was delivered and drained. Feed the
-  /// frames to SortedFrameMerger (merge.hpp) for Hadoop-style globally
-  /// key-ordered reduction (requires Config::sort_keys on the mappers).
+  /// Raw-frame variant: one realigned partition frame as a mapper built
+  /// it (codec-decoded); false once every lane was delivered and drained.
+  /// Feed the frames to SortedFrameMerger (merge.hpp) for Hadoop-style
+  /// globally key-ordered reduction (requires Config::sort_keys on the
+  /// mappers).
   /// Must not be mixed with recv()/recv_group() on the same instance.
   bool recv_raw_frame(std::vector<std::byte>& frame);
 
-  /// As recv_raw_frame(), but defers the codec decode to the caller:
-  /// `frame` is the bytes exactly as shipped and `codec_framed` says
-  /// whether they are a codec frame (always true under MPI-D's
-  /// self-describing framing when compression is on). Feed the frames to
-  /// SegmentMerger::add_wire_frame() so prepare() can decode them across
-  /// worker threads (Config::reduce_threads > 1), then fold the decode
-  /// counters back via fold_counters().
-  bool recv_wire_frame(std::vector<std::byte>& frame, bool& codec_framed);
-
   /// Folds a counter block accumulated outside this rank's pipeline —
-  /// e.g. a SegmentMerger::prepare() decode pass — into stats(). Call
+  /// e.g. a reducer's SegmentMerger spill counters — into stats(). Call
   /// from this rank's thread only (before finalize()).
   void fold_counters(const shuffle::ShuffleCounters& counters) {
     stats_.merge(counters);
   }
-
-  /// This rank's lazily-created worker pool, sized by Config::map_threads
-  /// (mapper) / reduce_threads (reducer); 1 elsewhere. The pool is shared
-  /// by run_map_parallel() and available to callers (e.g. the mapred
-  /// JobRunner hands it to SegmentMerger::prepare()).
-  shuffle::WorkerPool& worker_pool();
 
   /// The resolved two-tier store arbiter — Config::memory_budget if the
   /// caller shared one, a per-rank arbiter when memory_budget_bytes > 0,
@@ -365,13 +351,16 @@ class MpiD {
   std::vector<std::byte> decode_coded_payload(int unit,
                                               std::vector<std::byte> payload);
 
-  /// The one reception path behind every recv_* flavor: the next frame of
-  /// the round exactly as shipped — this reducer's local coded frames
-  /// first, then the delivered lanes, receiving until one is.
-  /// `codec_framed` says whether the bytes still need the codec decode.
-  /// False once every lane was delivered and drained.
-  bool next_wire_frame(std::vector<std::byte>& frame, bool& codec_framed);
-  /// Pulls the next frame (decoded) and stages it as the delivery frame.
+  /// The mapper's lazily-created worker pool, sized by
+  /// Config::map_threads; behind run_map_parallel() and run_map_coded().
+  shuffle::WorkerPool& worker_pool();
+
+  /// The one reception path behind every recv_* flavor: the next decoded
+  /// frame of the round — this reducer's local coded frames first, then
+  /// the delivered lanes, receiving until one is. False once every lane
+  /// was delivered and drained.
+  bool next_frame(std::vector<std::byte>& frame);
+  /// Pulls the next frame and stages it as the delivery frame.
   /// Returns false at end of stream.
   bool fetch_delivery_frame();
   /// Advances current_view_ to the next group of the delivery frame,
@@ -410,7 +399,7 @@ class MpiD {
   std::optional<shuffle::MapOutputBuffer> map_buffer_;
   std::optional<shuffle::FrameCompressor> compressor_;
   std::optional<shuffle::SpillEncoder> encoder_;
-  /// The rank's worker pool (worker_pool()), created on first use so
+  /// The mapper's worker pool (worker_pool()), created on first use so
   /// single-threaded configurations never spawn anything.
   std::unique_ptr<shuffle::WorkerPool> worker_pool_;
   /// Outstanding nonblocking frame sends, one bounded window per
@@ -455,17 +444,9 @@ class MpiD {
   };
   std::vector<RecvLane> recv_lanes_;
   int lanes_delivered_ = 0;
-  /// One delivered frame. Coded lanes are fully decoded at delivery
-  /// (codec + XOR against side terms), so their entries are raw; uncoded
-  /// entries keep the wire bytes and the codec flag so recv_wire_frame can
-  /// still defer the decode.
-  struct CollectedFrame {
-    std::vector<std::byte> bytes;
-    bool codec_framed = false;
-  };
-  /// Frames of the delivered lanes, lane by lane in sequence order;
-  /// next_wire_frame drains this.
-  std::deque<CollectedFrame> collected_;
+  /// Decoded frames of the delivered lanes, lane by lane in sequence
+  /// order; next_frame drains this.
+  std::deque<std::vector<std::byte>> collected_;
 
   /// Reducer-side coded state (coded_replication > 1), built by
   /// run_reduce_side_map and kept across reducer restarts (the replica

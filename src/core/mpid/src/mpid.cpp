@@ -210,10 +210,7 @@ void MpiD::send(std::string_view key, std::string_view value) {
 
 shuffle::WorkerPool& MpiD::worker_pool() {
   if (!worker_pool_) {
-    std::size_t threads = 1;
-    if (role_ == Role::kMapper) threads = config_.map_threads;
-    if (role_ == Role::kReducer) threads = config_.reduce_threads;
-    worker_pool_ = std::make_unique<shuffle::WorkerPool>(threads);
+    worker_pool_ = std::make_unique<shuffle::WorkerPool>(config_.map_threads);
   }
   return *worker_pool_;
 }
@@ -311,13 +308,12 @@ void MpiD::isend_windowed(std::size_t partition, std::vector<std::byte> frame) {
       data_comm_.isend_bytes_owned(dst, kDataTag, std::move(frame)));
 }
 
-bool MpiD::next_wire_frame(std::vector<std::byte>& frame, bool& codec_framed) {
+bool MpiD::next_frame(std::vector<std::byte>& frame) {
   if (coded_local_cursor_ < coded_local_.size()) {
     // Local delivery first: this reducer's own partition of its replica
     // map work never crossed the fabric. Copied, not moved —
     // restart_reducer() rewinds the cursor and re-delivers.
     frame = coded_local_[coded_local_cursor_++];
-    codec_framed = false;
     return true;
   }
   while (collected_.empty()) {
@@ -327,17 +323,14 @@ bool MpiD::next_wire_frame(std::vector<std::byte>& frame, bool& codec_framed) {
     receive_one();
   }
   // frames_received/bytes_received were counted at reception.
-  codec_framed = collected_.front().codec_framed;
-  frame = std::move(collected_.front().bytes);
+  frame = std::move(collected_.front());
   collected_.pop_front();
   return true;
 }
 
 bool MpiD::fetch_delivery_frame() {
   std::vector<std::byte> frame;
-  bool codec_framed = false;
-  if (!next_wire_frame(frame, codec_framed)) return false;
-  if (codec_framed) frame = decoder_->decode(std::move(frame));
+  if (!next_frame(frame)) return false;
   delivery_frame_ = std::move(frame);
   // The reader is (re)constructed only after the move above, so its span
   // aliases the frame's final storage.
@@ -392,22 +385,7 @@ bool MpiD::recv_raw_frame(std::vector<std::byte>& frame) {
     throw std::logic_error(
         "MpiD: recv_raw_frame cannot be mixed with recv()/recv_group()");
   }
-  bool codec_framed = false;
-  if (!next_wire_frame(frame, codec_framed)) return false;
-  // Compressed payloads decode here, so SortedFrameMerger always sees the
-  // raw frame bytes — merge order and output are unchanged.
-  if (codec_framed) frame = decoder_->decode(std::move(frame));
-  return true;
-}
-
-bool MpiD::recv_wire_frame(std::vector<std::byte>& frame, bool& codec_framed) {
-  ensure_role(Role::kReducer, "recv_wire_frame");
-  if (current_view_ || delivery_reader_) {
-    throw std::logic_error(
-        "MpiD: recv_wire_frame cannot be mixed with recv()/recv_group()");
-  }
-  // The caller (SegmentMerger::prepare) owns the codec decode.
-  return next_wire_frame(frame, codec_framed);
+  return next_frame(frame);
 }
 
 bool MpiD::recv_group(std::string& key, std::vector<std::string>& values) {
@@ -1192,9 +1170,10 @@ void MpiD::receive_one() {
 }
 
 void MpiD::deliver_lane(int mapper) {
-  // Coded lanes decode fully here (codec, then XOR against the side
-  // terms): the checksum already vouched for the wire bytes, and staging
-  // raw lets every recv_* flavor skip per-frame special cases.
+  // Every lane decodes here (codec, then XOR against the side terms for a
+  // coded lane): the checksum already vouched for the wire bytes, and
+  // staging raw frames lets every recv_* flavor skip per-frame special
+  // cases.
   auto& lane = recv_lanes_[static_cast<std::size_t>(mapper)];
   const bool coded_lane = is_coded_source(mapper);
   for (auto& [seq, payload] : lane.frames) {
@@ -1202,10 +1181,11 @@ void MpiD::deliver_lane(int mapper) {
       auto decoded =
           decode_coded_payload(unit_of_mapper(mapper), std::move(payload));
       if (decoded.empty()) continue;  // round carried nothing for us
-      collected_.push_back(CollectedFrame{std::move(decoded), false});
+      collected_.push_back(std::move(decoded));
+    } else if (compression_on()) {
+      collected_.push_back(decoder_->decode(std::move(payload)));
     } else {
-      collected_.push_back(
-          CollectedFrame{std::move(payload), compression_on()});
+      collected_.push_back(std::move(payload));
     }
   }
   lane.frames.clear();

@@ -113,10 +113,10 @@ void run_map_task(core::MpiD& mpid, const core::Config& config,
           task.map_range(lo, hi, emit, tick);
         });
       } else if (inj == nullptr && config.map_threads > 1) {
-        // The chunk count comes from the options, never from the thread
-        // count, so the shipped bytes are identical at every map_threads.
+        // The chunk count is fixed, never a function of the thread count,
+        // so the shipped bytes are identical at every map_threads.
         // Injected crashes keep the sequential path (DESIGN.md §12).
-        const std::size_t chunks = shuffle::resolve_map_chunks(config, count);
+        const std::size_t chunks = shuffle::resolve_map_chunks(count);
         mpid.run_map_parallel(chunks, [&](std::size_t chunk, const Emit& emit) {
           const auto [lo, hi] = part_range(count, chunks, chunk);
           task.map_range(lo, hi, emit, tick);
@@ -139,13 +139,7 @@ ReduceTask::ReduceTask(core::MpiD& mpid, const core::Config& config,
     : mpid_(mpid),
       config_(config),
       merge_(merge),
-      budgeted_(merge && config.memory_budget_bytes > 0),
-      // A budget keeps the sequential collect: the threaded one holds every
-      // wire frame in memory until prepare(), the footprint the budget
-      // caps, while add_frame() charges each frame and spills sorted runs
-      // when refused (DESIGN.md §13). Injected crashes stay sequential too.
-      threaded_(merge && config.reduce_threads > 1 &&
-                injector(config) == nullptr && !budgeted_) {}
+      budgeted_(merge && config.memory_budget_bytes > 0) {}
 
 void ReduceTask::arm_merger() {
   if (budgeted_) {
@@ -161,7 +155,6 @@ void ReduceTask::collect() {
   arm_merger();
   for (int safety = 0;; ++safety) {
     try {
-      std::vector<std::byte> frame;
       if (!merge_) {
         std::string key;
         std::vector<std::string> values;
@@ -170,12 +163,10 @@ void ReduceTask::collect() {
           std::move(values.begin(), values.end(), std::back_inserter(list));
           values.clear();
         }
-      } else if (threaded_) {
-        bool codec_framed = false;
-        while (mpid_.recv_wire_frame(frame, codec_framed)) {
-          merger_.add_wire_frame(std::move(frame), codec_framed);
-        }
       } else {
+        // A budgeted merger charges each frame and spills sorted runs when
+        // refused (DESIGN.md §13).
+        std::vector<std::byte> frame;
         while (mpid_.recv_raw_frame(frame)) merger_.add_frame(std::move(frame));
       }
       break;
@@ -190,12 +181,6 @@ void ReduceTask::collect() {
       merger_ = core::SortedFrameMerger{};
       arm_merger();
     }
-  }
-  if (threaded_) {
-    shuffle::ShuffleCounters decode_counters;
-    merger_.prepare(mpid_.worker_pool(), config_.partition_frame_bytes,
-                    &decode_counters);
-    mpid_.fold_counters(decode_counters);
   }
   if (budgeted_) {
     // Compact now, so the spill counters are final when the barrier ships

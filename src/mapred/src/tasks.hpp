@@ -84,7 +84,7 @@ class ReduceTask {
   /// Receives the round's whole shuffle. An injected crash restarts the
   /// attempt: what was received is discarded and every lane re-pulled.
   /// Call before the rank's finalize() or next_round(), which ship the
-  /// decode and spill counters folded here.
+  /// spill counters folded here.
   void collect();
 
   /// Calls `fn` once per key: in key order when merging, else in
@@ -98,7 +98,6 @@ class ReduceTask {
   const core::Config& config_;
   const bool merge_;
   const bool budgeted_;  // the merger's disk tier is armed
-  const bool threaded_;  // decode + pre-merge on the rank's worker pool
   std::unordered_map<std::string, std::vector<std::string>> groups_;
   core::SortedFrameMerger merger_;
   shuffle::ShuffleCounters spill_counters_;

@@ -478,10 +478,8 @@ JobSummary MiniCluster::run_internal(const MiniJobConfig& config,
 
     const auto chunk_views = mapred::split_text(
         splits[static_cast<std::size_t>(map_id)],
-        static_cast<int>(std::min(
-            shuffle::resolve_map_chunks(
-                opts, std::numeric_limits<std::size_t>::max()),
-            shuffle::ShuffleOptions::kMaxMapTaskChunks)));
+        static_cast<int>(shuffle::resolve_map_chunks(
+            std::numeric_limits<std::size_t>::max())));
     shuffle::WorkerPool pool(opts.map_threads);
     mapper.run(pool, chunk_views.size(),
                [&](std::size_t chunk,

@@ -137,7 +137,7 @@ struct ShuffleCounters {
 };
 
 /// Commit-time accumulation point for worker threads (the hybrid
-/// process+threads model, ShuffleOptions::map_threads / reduce_threads).
+/// process+threads model, ShuffleOptions::map_threads).
 ///
 /// ShuffleCounters::merge() itself is single-writer — calling it on a
 /// shared block from several threads tears. The threading contract is

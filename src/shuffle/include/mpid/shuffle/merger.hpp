@@ -13,28 +13,21 @@
 //   while (d.recv_raw_frame(frame)) merger.add_frame(std::move(frame));
 //   std::string key; std::vector<std::string> values;
 //   while (merger.next_group(key, values)) reduce(key, values);
-// With reduce_threads > 1 the stage also runs concurrently: wire frames
-// are collected undecoded via add_wire_frame(), and prepare() fans the
-// codec decode — and a contiguous pre-merge of the cursors into one
-// sorted run per worker — across a WorkerPool. Pre-merging a contiguous
-// arrival-order range is associativity-safe: within the range, equal
-// keys' values concatenate in arrival order, the merged run inherits the
-// range's first arrival index as its tie-break order, and the ranges are
-// disjoint and ordered — so next_group() produces byte-for-byte the same
-// group sequence for every worker count.
+// The frames arrive decoded (the transport owns the codec), and the
+// merge runs on the caller's thread.
 //
 // Disk tier (enable_spill, DESIGN.md §13): when a MemoryBudget refuses an
 // arriving frame's charge, the merger stream-merges everything it holds
-// into one sorted run on disk (store::RunWriter) and frees the cursors;
-// the run inherits the spilled range's first arrival index as its
-// tie-break order. Because every spill takes *all* current cursors, runs
-// cover disjoint contiguous arrival ranges — the same associativity
-// argument as the thread pre-merge above — so the final loser-tree merge
-// over (runs, then surviving cursors) concatenates equal keys' values in
-// exactly the arrival order the all-in-memory merge would have used, and
-// budget-bounded output is byte-identical to unbounded output. With the
-// budget unset nothing here changes: no state is allocated, no branch is
-// taken past a null check.
+// into one sorted run on disk (store::RunWriter) and frees the cursors.
+// Because every spill takes *all* current cursors, runs cover disjoint
+// contiguous arrival ranges, held oldest first. Merging a contiguous
+// arrival range is associativity-safe: within the range, equal keys'
+// values concatenate in arrival order, and the ranges are disjoint and
+// ordered. So the final loser-tree merge over (runs, then surviving
+// cursors) concatenates equal keys' values in exactly the arrival order
+// the all-in-memory merge would have used, and budget-bounded output is
+// byte-identical to unbounded output. With the budget unset nothing here
+// changes: no state is allocated, no branch is taken past a null check.
 #pragma once
 
 #include <cstddef>
@@ -47,7 +40,6 @@
 #include "mpid/common/kvframe.hpp"
 #include "mpid/shuffle/counters.hpp"
 #include "mpid/shuffle/options.hpp"
-#include "mpid/shuffle/workerpool.hpp"
 #include "mpid/store/budget.hpp"
 #include "mpid/store/extmerge.hpp"
 #include "mpid/store/pagepool.hpp"
@@ -60,25 +52,6 @@ class SegmentMerger {
   /// Takes ownership of one internally key-sorted KvList frame. All
   /// frames must be added before the first next_group() call.
   void add_frame(std::vector<std::byte> frame);
-
-  /// Takes ownership of one frame as it arrived on the wire, deferring
-  /// the codec decode to prepare(). `codec_framed` says whether the bytes
-  /// are a codec frame (see FrameCompressor) or already raw. Frames added
-  /// this way are invisible to next_group() until prepare() runs.
-  void add_wire_frame(std::vector<std::byte> wire, bool codec_framed);
-
-  /// Decodes every pending wire frame across `pool`'s workers (per-worker
-  /// FrameDecoder, decompress_ns folded into `counters` at commit time;
-  /// `counters` nullable) and, when it pays, pre-merges contiguous cursor
-  /// ranges into one sorted run per worker so the sequential next_group()
-  /// scan touches W cursors instead of hundreds. `capacity_hint` pre-sizes
-  /// decode buffers (use the producer's frame size target). Idempotent;
-  /// must precede next_group() when wire frames are pending. With the
-  /// disk tier armed the decode runs sequentially through the budget-
-  /// charged add_frame() path instead (spilling is disk-bound; the
-  /// pre-merge would fight the budget for the cursors it merges).
-  void prepare(WorkerPool& pool, std::size_t capacity_hint,
-               ShuffleCounters* counters);
 
   /// Arms the disk tier. Must precede the first add_frame(); no-op when
   /// `budget` is null or unbounded. `options` supplies spill_dir,
@@ -116,22 +89,9 @@ class SegmentMerger {
     std::vector<std::byte> frame;
     common::KvListReader reader;
     std::optional<common::KvListView> current;
-    std::size_t order;  // arrival order, the tie-breaker
 
-    explicit Cursor(std::vector<std::byte> f, std::size_t ord)
-        : frame(std::move(f)), reader(frame), order(ord) {}
-  };
-
-  struct PendingWire {
-    std::vector<std::byte> wire;
-    bool codec_framed;
-  };
-
-  /// One spilled run: a contiguous arrival range on disk, ranked by the
-  /// range's first arrival index.
-  struct SpillRun {
-    store::SpillFile file;
-    std::size_t order;
+    explicit Cursor(std::vector<std::byte> f)
+        : frame(std::move(f)), reader(frame) {}
   };
 
   /// Everything the disk tier needs; absent (null) with no budget, so the
@@ -145,7 +105,7 @@ class SegmentMerger {
     ShuffleCounters* counters = nullptr;
     store::Reservation reservation;
     std::unique_ptr<store::SpillPool> pool;
-    std::vector<SpillRun> runs;
+    std::vector<store::SpillFile> runs;  // oldest arrival range first
     bool compacted = false;
   };
 
@@ -162,16 +122,10 @@ class SegmentMerger {
 
   static void advance(Cursor& cursor);
 
-  /// Streams the fully-merged groups of cursors_[lo, hi) to `fn(key,
-  /// values)` in ascending key order, arrival-order concatenation — the
-  /// one merge loop behind merge_range() (in-memory output) and
-  /// spill_cursors() (disk output).
-  template <typename Fn>
-  void for_each_merged_group(std::size_t lo, std::size_t hi, Fn&& fn);
-
-  /// Sequentially k-way merges cursors_[lo, hi) into one sorted KvList
-  /// frame, preserving the range's arrival-order value concatenation.
-  std::vector<std::byte> merge_range(std::size_t lo, std::size_t hi);
+  /// Merges the next group out of the in-memory cursors: the smallest
+  /// key, its values concatenated in arrival order. False when every
+  /// cursor is exhausted. Behind next_group() and spill_cursors().
+  bool next_cursor_group(std::string& key, std::vector<std::string>& values);
 
   /// Writes every current cursor to one sorted run and frees the memory.
   void spill_cursors();
@@ -179,9 +133,9 @@ class SegmentMerger {
   /// Builds the loser tree over (compacted runs, surviving cursors).
   void build_final_stream();
 
-  std::deque<Cursor> cursors_;  // deque: stable addresses for the views
-  std::vector<PendingWire> pending_;
-  std::size_t next_order_ = 0;  // survives cursor clears (spills, pre-merge)
+  // Arrival order, the merge's tie-break. A deque: stable addresses for
+  // the views.
+  std::deque<Cursor> cursors_;
   bool started_ = false;
   std::unique_ptr<SpillState> spill_;
   std::vector<std::unique_ptr<store::GroupSource>> final_sources_;

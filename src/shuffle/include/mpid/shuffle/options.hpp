@@ -108,28 +108,11 @@ struct ShuffleOptions {
   /// pre-pool sequential path: no pool threads are spawned and scheduling
   /// is byte-for-byte the legacy cadence. N > 1 runs map chunks through a
   /// work-stealing WorkerPool with per-worker buffers feeding the shared
-  /// spill stream in deterministic chunk order, so output bytes are
-  /// identical for every thread count.
+  /// spill stream in deterministic chunk order. The chunk count is fixed
+  /// (resolve_map_chunks, parallel.hpp), never a function of N, so output
+  /// bytes are identical for every thread count. The reduce side is
+  /// sequential.
   std::size_t map_threads = 1;
-
-  /// Worker threads per reduce-side rank/task: parallel decode and
-  /// pre-merge of arriving segments inside SegmentMerger. Same default-1
-  /// contract as map_threads.
-  std::size_t reduce_threads = 1;
-
-  /// Steal-able map chunks per batch when map_threads > 1. Finer chunks
-  /// steal better, coarser chunks amortize the per-chunk spill+flush.
-  /// 0 (the default) auto-sizes to a fixed count (16, capped by the
-  /// record count) — deliberately NOT a function of map_threads, because
-  /// the chunk cadence decides the output bytes and the byte-parity
-  /// guarantee above requires the same cadence at every thread count.
-  /// validate() rejects values above kMaxMapTaskChunks: beyond that the
-  /// per-chunk flush dwarfs the work, and downstream splitters take the
-  /// chunk count as an int.
-  std::size_t map_task_chunks = 0;
-
-  /// Upper bound validate() enforces on map_task_chunks.
-  static constexpr std::size_t kMaxMapTaskChunks = 1u << 20;
 
   // --- memory-budgeted two-tier store (src/store; DESIGN.md §13) ---
   /// Hard cap on the bytes the shuffle's buffering stages may hold in RAM

@@ -50,11 +50,10 @@
 
 namespace mpid::shuffle {
 
-/// Number of map chunks a batch of `items` records splits into:
-/// options.map_task_chunks when set, else a fixed auto count — never a
-/// function of map_threads (see options.hpp) — capped by the item count.
-std::size_t resolve_map_chunks(const ShuffleOptions& options,
-                               std::size_t items);
+/// Number of map chunks a batch of `items` records splits into: a fixed
+/// count, never a function of map_threads (see options.hpp), capped by
+/// the item count and never zero.
+std::size_t resolve_map_chunks(std::size_t items);
 
 class ParallelMapper {
  public:

@@ -1,5 +1,5 @@
 // WorkerPool: the per-rank worker pool behind the hybrid process+threads
-// execution model (ShuffleOptions::map_threads / reduce_threads).
+// execution model (ShuffleOptions::map_threads).
 //
 // Each MPI-D rank (and each MiniHadoop map task) is one OS process-analog
 // in this repo; the pool lets that one rank keep several cores busy: a

@@ -4,9 +4,8 @@
 #include <chrono>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
-
-#include "mpid/shuffle/compress.hpp"
 
 namespace mpid::shuffle {
 
@@ -33,24 +32,14 @@ void SegmentMerger::add_frame(std::vector<std::byte> frame) {
     spill_cursors();
     spill_->reservation.grow(frame.size());
   }
-  cursors_.emplace_back(std::move(frame), next_order_++);
+  cursors_.emplace_back(std::move(frame));
   advance(cursors_.back());
-}
-
-void SegmentMerger::add_wire_frame(std::vector<std::byte> wire,
-                                   bool codec_framed) {
-  if (started_) {
-    throw std::logic_error(
-        "SegmentMerger: add_wire_frame after merging started");
-  }
-  if (wire.empty()) return;
-  pending_.push_back(PendingWire{std::move(wire), codec_framed});
 }
 
 void SegmentMerger::enable_spill(const ShuffleOptions& options,
                                  store::MemoryBudget* budget,
                                  ShuffleCounters* counters) {
-  if (!cursors_.empty() || !pending_.empty() || started_) {
+  if (!cursors_.empty() || started_) {
     throw std::logic_error(
         "SegmentMerger: enable_spill must precede the first frame");
   }
@@ -68,117 +57,9 @@ void SegmentMerger::enable_spill(const ShuffleOptions& options,
       std::make_unique<store::SpillPool>(budget, options.spill_page_bytes);
 }
 
-void SegmentMerger::prepare(WorkerPool& pool, std::size_t capacity_hint,
-                            ShuffleCounters* counters) {
-  if (started_) {
-    throw std::logic_error("SegmentMerger: prepare after merging started");
-  }
-  if (spill_) {
-    // Disk tier armed: decode sequentially through the budget-charged
-    // add_frame path. The parallel decode would materialize every frame
-    // at once — exactly the footprint the budget exists to forbid — and
-    // a spilling merge is disk-bound anyway.
-    if (!pending_.empty()) {
-      FrameDecoder decoder(capacity_hint, /*pool=*/nullptr, counters);
-      auto pending = std::move(pending_);
-      pending_.clear();
-      for (auto& p : pending) {
-        add_frame(p.codec_framed ? decoder.decode(std::move(p.wire))
-                                 : std::move(p.wire));
-      }
-    }
-    return;
-  }
-  if (!pending_.empty()) {
-    // Decode phase: one task per wire frame, per-worker decoders whose
-    // private counter blocks fold into the shared target at commit time.
-    std::vector<std::vector<std::byte>> decoded(pending_.size());
-    std::vector<ShuffleCounters> worker_counters(pool.workers());
-    std::vector<FrameDecoder> decoders;
-    decoders.reserve(pool.workers());
-    for (std::size_t w = 0; w < pool.workers(); ++w) {
-      decoders.emplace_back(capacity_hint, /*pool=*/nullptr,
-                            &worker_counters[w]);
-    }
-    pool.run(pending_.size(), [&](std::size_t task, std::size_t worker) {
-      auto& p = pending_[task];
-      decoded[task] = p.codec_framed ? decoders[worker].decode(std::move(p.wire))
-                                     : std::move(p.wire);
-    });
-    pending_.clear();
-    CounterCommitPoint commit(counters);
-    for (const auto& wc : worker_counters) commit.commit(wc);
-    // Cursors must form in arrival order — the tie-break that keeps a
-    // producer's spill order within a key — so this stays sequential.
-    for (auto& frame : decoded) add_frame(std::move(frame));
-  }
-
-  // Pre-merge phase: collapse contiguous arrival-order cursor ranges into
-  // one sorted run per worker. Worth it only when the sequential
-  // next_group() scan would otherwise touch many more cursors than the
-  // pool has workers.
-  const std::size_t workers = pool.workers();
-  if (workers <= 1 || cursors_.size() <= workers) return;
-  std::vector<std::vector<std::byte>> merged(workers);
-  const std::size_t count = cursors_.size();
-  pool.run(workers, [&](std::size_t run, std::size_t /*worker*/) {
-    const std::size_t lo = run * count / workers;
-    const std::size_t hi = (run + 1) * count / workers;
-    merged[run] = merge_range(lo, hi);
-  });
-  cursors_.clear();
-  for (auto& frame : merged) add_frame(std::move(frame));
-}
-
-template <typename Fn>
-void SegmentMerger::for_each_merged_group(std::size_t lo, std::size_t hi,
-                                          Fn&& fn) {
-  std::string key;
-  std::vector<std::string> values;
-  for (;;) {
-    // Smallest current key in the range; ascending index scan with a
-    // strict < makes the earliest arrival win ties automatically.
-    const Cursor* best = nullptr;
-    for (std::size_t i = lo; i < hi; ++i) {
-      const auto& cursor = cursors_[i];
-      if (!cursor.current) continue;
-      if (best == nullptr || cursor.current->key < best->current->key) {
-        best = &cursor;
-      }
-    }
-    if (best == nullptr) break;
-    key.assign(best->current->key);
-    values.clear();
-    for (std::size_t i = lo; i < hi; ++i) {
-      auto& cursor = cursors_[i];
-      while (cursor.current && cursor.current->key == key) {
-        for (const auto v : cursor.current->values) values.emplace_back(v);
-        advance(cursor);
-      }
-    }
-    fn(key, values);
-  }
-}
-
-std::vector<std::byte> SegmentMerger::merge_range(std::size_t lo,
-                                                  std::size_t hi) {
-  common::KvListWriter writer;
-  std::size_t bytes = 0;
-  for (std::size_t i = lo; i < hi; ++i) bytes += cursors_[i].frame.size();
-  writer.reserve(bytes);
-  for_each_merged_group(
-      lo, hi,
-      [&writer](const std::string& key, const std::vector<std::string>& values) {
-        writer.begin_group(key, values.size());
-        for (const auto& v : values) writer.add_value(v);
-      });
-  return writer.take();
-}
-
 void SegmentMerger::spill_cursors() {
   if (cursors_.empty()) return;
   const std::uint64_t start = now_ns();
-  const std::size_t order = cursors_.front().order;
   store::RunWriter::Options wopts;
   wopts.block_bytes = spill_->page_bytes;
   wopts.compress = spill_->compress;
@@ -186,14 +67,14 @@ void SegmentMerger::spill_cursors() {
                           wopts, spill_->pool.get());
   // One streamed pass: groups materialize one at a time, so the spill's
   // own footprint is a group plus the writer's staging page.
-  for_each_merged_group(
-      0, cursors_.size(),
-      [&writer](const std::string& key, const std::vector<std::string>& values) {
-        writer.begin_group(key, values.size());
-        for (const auto& v : values) writer.add_value(v);
-      });
+  std::string key;
+  std::vector<std::string> values;
+  while (next_cursor_group(key, values)) {
+    writer.begin_group(key, values.size());
+    for (const auto& v : values) writer.add_value(v);
+  }
   auto [file, info] = writer.finish();
-  spill_->runs.push_back(SpillRun{std::move(file), order});
+  spill_->runs.push_back(std::move(file));
   spill_->compacted = false;
   cursors_.clear();
   spill_->reservation.reset();
@@ -217,7 +98,7 @@ void SegmentMerger::finish_spill_phase() {
     sources.reserve(spill_->fanin);
     for (std::size_t i = 0; i < spill_->fanin; ++i) {
       sources.push_back(std::make_unique<store::RunSource>(
-          spill_->runs[i].file.path(), spill_->pool.get()));
+          spill_->runs[i].path(), spill_->pool.get()));
     }
     store::RunWriter::Options wopts;
     wopts.block_bytes = spill_->page_bytes;
@@ -226,12 +107,10 @@ void SegmentMerger::finish_spill_phase() {
         store::SpillFile::create(spill_->spill_dir, "merge"), wopts,
         spill_->pool.get());
     auto [file, info] = store::merge_sources(sources, writer);
-    const std::size_t order = spill_->runs.front().order;
     spill_->runs.erase(spill_->runs.begin(),
                        spill_->runs.begin() +
                            static_cast<std::ptrdiff_t>(spill_->fanin));
-    spill_->runs.insert(spill_->runs.begin(),
-                        SpillRun{std::move(file), order});
+    spill_->runs.insert(spill_->runs.begin(), std::move(file));
     if (spill_->counters != nullptr) {
       spill_->counters->external_merge_passes += 1;
       spill_->counters->bytes_spilled_disk += info.file_bytes;
@@ -257,12 +136,12 @@ void SegmentMerger::build_final_stream() {
   // Source index order = arrival order: runs first (each one a contiguous
   // arrival range older than every surviving cursor), then the in-memory
   // cursors, oldest first. The loser tree's index tie-break then equals
-  // the in-memory merger's order tie-break.
+  // the in-memory merge's arrival-order tie-break.
   final_sources_.clear();
   final_sources_.reserve(spill_->runs.size() + cursors_.size());
   for (const auto& run : spill_->runs) {
     final_sources_.push_back(std::make_unique<store::RunSource>(
-        run.file.path(), spill_->pool.get()));
+        run.path(), spill_->pool.get()));
   }
   for (auto& cursor : cursors_) {
     final_sources_.push_back(std::make_unique<CursorSource>(&cursor));
@@ -274,45 +153,28 @@ void SegmentMerger::build_final_stream() {
 }
 
 void SegmentMerger::advance(Cursor& cursor) {
-  const std::optional<std::string> previous =
-      cursor.current
-          ? std::optional<std::string>(std::string(cursor.current->key))
-          : std::nullopt;
+  // The previous key's bytes live in the cursor's own frame, which never
+  // moves (the cursors sit in a deque), so the view outlives next(). No
+  // key sorts below the empty view, so the first group needs no check.
+  const std::string_view previous =
+      cursor.current ? cursor.current->key : std::string_view{};
   cursor.current = cursor.reader.next();
-  if (cursor.current && previous && cursor.current->key < *previous) {
+  if (cursor.current && cursor.current->key < previous) {
     throw std::logic_error(
         "SegmentMerger: frame is not key-sorted (enable sort_keys on the "
         "producers)");
   }
 }
 
-bool SegmentMerger::next_group(std::string& key,
-                               std::vector<std::string>& values) {
-  if (!pending_.empty()) {
-    throw std::logic_error(
-        "SegmentMerger: wire frames pending — call prepare() before "
-        "next_group()");
-  }
-  if (spill_ && !spill_->runs.empty()) {
-    // Disk tier engaged: stream from the loser tree over (runs, cursors).
-    if (!final_stream_) build_final_stream();
-    started_ = true;
-    const std::uint64_t start = now_ns();
-    const bool more = final_stream_->next(key, values);
-    if (spill_->counters != nullptr) {
-      spill_->counters->spill_ns += now_ns() - start;
-    }
-    return more;
-  }
-  started_ = true;
+bool SegmentMerger::next_cursor_group(std::string& key,
+                                      std::vector<std::string>& values) {
   // Smallest current key across cursors (linear scan: frame counts are
-  // small — one per producer spill).
+  // small — one per producer spill). The scan runs in arrival order and
+  // the strict < keeps the earliest cursor on ties.
   const Cursor* best = nullptr;
   for (const auto& cursor : cursors_) {
     if (!cursor.current) continue;
-    if (best == nullptr || cursor.current->key < best->current->key ||
-        (cursor.current->key == best->current->key &&
-         cursor.order < best->order)) {
+    if (best == nullptr || cursor.current->key < best->current->key) {
       best = &cursor;
     }
   }
@@ -328,6 +190,22 @@ bool SegmentMerger::next_group(std::string& key,
     }
   }
   return true;
+}
+
+bool SegmentMerger::next_group(std::string& key,
+                               std::vector<std::string>& values) {
+  started_ = true;
+  if (spill_ && !spill_->runs.empty()) {
+    // Disk tier engaged: stream from the loser tree over (runs, cursors).
+    if (!final_stream_) build_final_stream();
+    const std::uint64_t start = now_ns();
+    const bool more = final_stream_->next(key, values);
+    if (spill_->counters != nullptr) {
+      spill_->counters->spill_ns += now_ns() - start;
+    }
+    return more;
+  }
+  return next_cursor_group(key, values);
 }
 
 }  // namespace mpid::shuffle

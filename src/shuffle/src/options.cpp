@@ -45,10 +45,6 @@ void ShuffleOptions::validate() const {
     throw std::invalid_argument(
         "ShuffleOptions: map_threads must be >= 1 (1 = sequential)");
   }
-  if (reduce_threads == 0) {
-    throw std::invalid_argument(
-        "ShuffleOptions: reduce_threads must be >= 1 (1 = sequential)");
-  }
   if (memory_budget_bytes > 0) {
     if (spill_page_bytes < kMinSpillPageBytes) {
       throw std::invalid_argument(
@@ -103,14 +99,6 @@ void ShuffleOptions::validate() const {
         "ShuffleOptions: resident_rounds > 1 is incompatible with "
         "coded_replication > 1 — coded replica placement is derived from "
         "the one-shot split layout and cannot be re-armed across rounds");
-  }
-  if (map_task_chunks > kMaxMapTaskChunks) {
-    throw std::invalid_argument(
-        "ShuffleOptions: map_task_chunks (" +
-        std::to_string(map_task_chunks) + ") exceeds the " +
-        std::to_string(kMaxMapTaskChunks) +
-        " cap — chunks that fine only add flush overhead, and splitters "
-        "take the chunk count as an int");
   }
 }
 

@@ -6,19 +6,16 @@
 namespace mpid::shuffle {
 
 namespace {
-/// Auto chunk count when map_task_chunks = 0. Fixed — not derived from
-/// map_threads — so the chunk cadence, and therefore the wire bytes, are
-/// identical at every thread count (the parity guarantee). 16 keeps four
-/// workers at ~4 steal-able chunks each without shrinking chunks so far
-/// that the per-chunk flush overhead shows.
-constexpr std::size_t kAutoChunks = 16;
+/// Map chunks per batch. Fixed — not derived from map_threads — so the
+/// chunk cadence, and therefore the wire bytes, are identical at every
+/// thread count (the parity guarantee). 16 keeps four workers at ~4
+/// steal-able chunks each without shrinking chunks so far that the
+/// per-chunk flush overhead shows.
+constexpr std::size_t kMapChunks = 16;
 }  // namespace
 
-std::size_t resolve_map_chunks(const ShuffleOptions& options,
-                               std::size_t items) {
-  const std::size_t want =
-      options.map_task_chunks > 0 ? options.map_task_chunks : kAutoChunks;
-  return std::max<std::size_t>(1, std::min(want, items));
+std::size_t resolve_map_chunks(std::size_t items) {
+  return std::max<std::size_t>(1, std::min(kMapChunks, items));
 }
 
 ParallelMapper::Lane::Lane(const ShuffleOptions& options, const Setup& setup)

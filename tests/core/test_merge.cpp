@@ -3,6 +3,7 @@
 // contract: keys arrive globally ordered, each exactly once).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "mpid/common/kvframe.hpp"
@@ -96,11 +97,15 @@ TEST(SortedFrameMerger, AddAfterStartRejected) {
 }
 
 TEST(SortedFrameMerger, RandomizedAgainstReference) {
+  // The reference appends each frame's values in frame order, so it is
+  // the documented tie-break: equal keys concatenate their values in
+  // arrival order. Every value is unique, so the order is checked exactly.
   common::Xoshiro256StarStar rng(606);
-  for (int iter = 0; iter < 20; ++iter) {
-    std::map<std::string, std::vector<std::string>> reference;
+  for (int iter = 0; iter < 40; ++iter) {
+    std::vector<std::pair<std::string, std::vector<std::string>>> reference;
+    std::map<std::string, std::size_t> slot;  // key -> index in reference
     SortedFrameMerger merger;
-    const auto frames = rng.next_in(1, 8);
+    const auto frames = rng.next_in(1, 64);
     for (std::uint64_t f = 0; f < frames; ++f) {
       // Sorted groups per frame: walk a sorted key space.
       std::vector<std::pair<std::string, std::vector<std::string>>> groups;
@@ -110,38 +115,28 @@ TEST(SortedFrameMerger, RandomizedAgainstReference) {
         key_index += static_cast<int>(rng.next_in(1, 5));
         // Fixed-width suffix: lexicographic order == numeric order.
         std::string key = "k" + std::to_string(1000 + key_index);
-        std::vector<std::string> values(rng.next_in(1, 4),
-                                        "f" + std::to_string(f));
-        for (const auto& v : values) reference[key].push_back(v);
+        std::vector<std::string> values;
+        const auto value_count = rng.next_in(1, 4);
+        for (std::uint64_t v = 0; v < value_count; ++v) {
+          values.push_back("f" + std::to_string(f) + "g" + std::to_string(g) +
+                           "v" + std::to_string(v));
+        }
+        const auto [it, fresh] = slot.try_emplace(key, reference.size());
+        if (fresh) reference.emplace_back(key, std::vector<std::string>{});
+        auto& list = reference[it->second].second;
+        list.insert(list.end(), values.begin(), values.end());
         groups.emplace_back(std::move(key), std::move(values));
       }
       merger.add_frame(make_frame(groups));
     }
+    std::sort(reference.begin(), reference.end());
 
-    std::map<std::string, std::vector<std::string>> merged;
-    std::string key, previous;
+    std::vector<std::pair<std::string, std::vector<std::string>>> merged;
+    std::string key;
     std::vector<std::string> values;
-    bool first = true;
-    while (merger.next_group(key, values)) {
-      if (!first) {
-        EXPECT_LT(previous, key);  // strictly ascending keys
-      }
-      first = false;
-      previous = key;
-      auto& list = merged[key];
-      list.insert(list.end(), values.begin(), values.end());
-    }
-    // Same keys and same per-key value multiset (order may differ from the
-    // map reference, which appends in frame order too — compare sorted).
-    ASSERT_EQ(merged.size(), reference.size());
-    for (auto& [k, vs] : reference) {
-      auto it = merged.find(k);
-      ASSERT_NE(it, merged.end()) << k;
-      auto a = vs, b = it->second;
-      std::sort(a.begin(), a.end());
-      std::sort(b.begin(), b.end());
-      EXPECT_EQ(a, b) << k;
-    }
+    while (merger.next_group(key, values)) merged.emplace_back(key, values);
+    // Strictly ascending keys, each once, with the values in arrival order.
+    EXPECT_EQ(merged, reference) << "iteration " << iter;
   }
 }
 

@@ -1,8 +1,7 @@
 // Hybrid process+threads execution through the real MPI-D library:
-// run_map_parallel on the mapper ranks and the threaded reducer merge
-// (recv_wire_frame + SortedFrameMerger::prepare over the rank's worker
-// pool). The contract under test is the paper-grade one — map_threads /
-// reduce_threads are speed knobs, never semantics knobs: results and
+// run_map_parallel on the mapper ranks, feeding reducers that merge
+// sorted frames. The contract under test is the paper-grade one —
+// map_threads is a speed knob, never a semantics knob: results and
 // shuffle accounting match the sequential path exactly, for every thread
 // count and compression mode. These tests run under the TSan gate.
 #include <gtest/gtest.h>
@@ -50,8 +49,7 @@ struct JobOutput {
 };
 
 /// WordCount over `cfg`: mappers use run_map_parallel when map_threads>1
-/// (plain send otherwise), reducers use the threaded wire-frame collect +
-/// prepare path when reduce_threads>1 (sequential merge otherwise).
+/// (plain send otherwise), reducers merge the raw frames.
 JobOutput run_hybrid_wordcount(Config cfg) {
   cfg.combiner = sum_combiner();
   cfg.sort_keys = true;  // merger input must be key-sorted within frames
@@ -82,18 +80,7 @@ JobOutput run_hybrid_wordcount(Config cfg) {
       case Role::kReducer: {
         SortedFrameMerger merger;
         std::vector<std::byte> frame;
-        if (cfg.reduce_threads > 1) {
-          bool codec_framed = false;
-          while (d.recv_wire_frame(frame, codec_framed)) {
-            merger.add_wire_frame(std::move(frame), codec_framed);
-          }
-          shuffle::ShuffleCounters decode_counters;
-          merger.prepare(d.worker_pool(), cfg.partition_frame_bytes,
-                         &decode_counters);
-          d.fold_counters(decode_counters);
-        } else {
-          while (d.recv_raw_frame(frame)) merger.add_frame(std::move(frame));
-        }
+        while (d.recv_raw_frame(frame)) merger.add_frame(std::move(frame));
         d.finalize();
 
         std::map<std::string, std::uint64_t> local;
@@ -122,25 +109,24 @@ JobOutput run_hybrid_wordcount(Config cfg) {
   return out;
 }
 
-Config base_config(std::size_t map_threads, std::size_t reduce_threads) {
+Config base_config(std::size_t map_threads) {
   Config cfg;
   cfg.mappers = 3;
   cfg.reducers = 2;
   cfg.map_threads = map_threads;
-  cfg.reduce_threads = reduce_threads;
   cfg.spill_threshold_bytes = 2 * 1024;  // several spill rounds per chunk
   return cfg;
 }
 
 TEST(MpidThreadsTest, HybridCountsMatchSequentialExactly) {
-  const auto sequential = run_hybrid_wordcount(base_config(1, 1));
+  const auto sequential = run_hybrid_wordcount(base_config(1));
   ASSERT_FALSE(sequential.counts.empty());
   std::uint64_t total = 0;
   for (const auto& [k, n] : sequential.counts) total += n;
   EXPECT_EQ(total, 3u * 12u * 200u);  // every emitted pair accounted
 
   for (const std::size_t threads : {2u, 4u}) {
-    const auto hybrid = run_hybrid_wordcount(base_config(threads, threads));
+    const auto hybrid = run_hybrid_wordcount(base_config(threads));
     EXPECT_EQ(hybrid.counts, sequential.counts) << "threads=" << threads;
     EXPECT_EQ(hybrid.totals.pairs_after_combine,
               sequential.totals.pairs_after_combine)
@@ -152,7 +138,7 @@ TEST(MpidThreadsTest, HybridCountsMatchSequentialExactly) {
 
 TEST(MpidThreadsTest, HybridMatchesUnderCompression) {
   auto make_cfg = [](std::size_t threads) {
-    auto cfg = base_config(threads, threads);
+    auto cfg = base_config(threads);
     cfg.shuffle_compression = shuffle::ShuffleCompression::kOn;
     cfg.compress_min_frame_bytes = 64;
     return cfg;
@@ -171,26 +157,13 @@ TEST(MpidThreadsTest, HybridMatchesUnderCompression) {
   EXPECT_EQ(four.totals.shuffle_bytes_raw, two.totals.shuffle_bytes_raw);
   EXPECT_EQ(four.totals.bytes_sent, two.totals.bytes_sent);
   EXPECT_GT(four.totals.shuffle_bytes_raw, 0u);
-  // The threaded reducer decoded every wire byte the mappers encoded.
+  // The reducers decoded the frames the mappers encoded.
   EXPECT_GT(four.totals.decompress_ns, 0u);
-}
-
-TEST(MpidThreadsTest, MapOnlyAndReduceOnlyThreadingAreIndependent) {
-  const auto sequential = run_hybrid_wordcount(base_config(1, 1));
-  const auto map_only = run_hybrid_wordcount(base_config(4, 1));
-  const auto reduce_only = run_hybrid_wordcount(base_config(1, 4));
-  EXPECT_EQ(map_only.counts, sequential.counts);
-  EXPECT_EQ(reduce_only.counts, sequential.counts);
-  EXPECT_EQ(map_only.totals.bytes_sent, sequential.totals.bytes_sent);
-  EXPECT_EQ(reduce_only.totals.bytes_sent, sequential.totals.bytes_sent);
 }
 
 TEST(MpidThreadsTest, ZeroThreadConfigIsRejected) {
   Config cfg;
   cfg.map_threads = 0;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg.map_threads = 1;
-  cfg.reduce_threads = 0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 

@@ -239,16 +239,15 @@ TEST(ShuffleEngineParityTest, CompressionIsWireOnly) {
 }
 
 /// Runs the stream through ParallelMapper the way `shape` wires it, with
-/// `threads` pool workers. Chunk boundaries come from map_task_chunks, so
-/// they are identical for every thread count by construction — what this
-/// run checks is that the concurrent lanes + reorder sequencer reproduce
-/// the same wire bytes.
+/// `threads` pool workers. Chunk boundaries come from resolve_map_chunks,
+/// so they are identical for every thread count by construction — what
+/// this run checks is that the concurrent lanes + reorder sequencer
+/// reproduce the same wire bytes.
 RunResult run_parallel_pipeline(
     const RuntimeShape& shape, shuffle::ShuffleOptions opts,
     bool with_combiner, std::size_t threads,
     const std::vector<std::pair<std::string, std::string>>& stream) {
   opts.map_threads = threads;
-  opts.map_task_chunks = 10;
   opts.validate();
 
   RunResult result;
@@ -273,7 +272,7 @@ RunResult run_parallel_pipeline(
   shuffle::ParallelMapper mapper(opts, std::move(setup));
   shuffle::WorkerPool pool(threads);
 
-  const auto chunks = shuffle::resolve_map_chunks(opts, stream.size());
+  const auto chunks = shuffle::resolve_map_chunks(stream.size());
   mapper.run(pool, chunks,
              [&](std::size_t chunk,
                  const shuffle::ParallelMapper::EmitFn& emit) {

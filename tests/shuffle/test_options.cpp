@@ -135,15 +135,5 @@ TEST(ShuffleOptionsTest, CodedReplicationMustBePositive) {
   }
 }
 
-TEST(ShuffleOptionsTest, MapTaskChunksCapEnforced) {
-  // Downstream splitters take the chunk count as an int, so an absurd
-  // map_task_chunks must be rejected here, not overflow there.
-  ShuffleOptions opts;
-  opts.map_task_chunks = ShuffleOptions::kMaxMapTaskChunks;
-  EXPECT_NO_THROW(opts.validate());
-  opts.map_task_chunks = ShuffleOptions::kMaxMapTaskChunks + 1;
-  EXPECT_THROW(opts.validate(), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace mpid::shuffle

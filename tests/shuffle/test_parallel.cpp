@@ -133,23 +133,13 @@ TEST(ParallelMapperTest, ChunkExceptionPropagatesToCaller) {
 }
 
 TEST(ResolveMapChunksTest, AutoIsFixedAndCappedByItems) {
-  ShuffleOptions one_thread;
-  one_thread.validate();
-  ShuffleOptions four_threads;
-  four_threads.map_threads = 4;
-  four_threads.validate();
-  // The auto chunk count must not depend on map_threads — chunk cadence
-  // determines spill boundaries, and those must match across thread
-  // counts for the byte-parity guarantee.
-  EXPECT_EQ(resolve_map_chunks(one_thread, 100000),
-            resolve_map_chunks(four_threads, 100000));
-  EXPECT_EQ(resolve_map_chunks(one_thread, 3), 3u);  // capped by items
-  EXPECT_EQ(resolve_map_chunks(one_thread, 0), 1u);  // never zero
-
-  ShuffleOptions fixed;
-  fixed.map_task_chunks = 5;
-  fixed.validate();
-  EXPECT_EQ(resolve_map_chunks(fixed, 100000), 5u);
+  // The chunk count takes no options, so it cannot depend on map_threads
+  // — chunk cadence determines spill boundaries, and those must match
+  // across thread counts for the byte-parity guarantee.
+  EXPECT_EQ(resolve_map_chunks(100000), 16u);
+  EXPECT_EQ(resolve_map_chunks(16), 16u);
+  EXPECT_EQ(resolve_map_chunks(3), 3u);  // capped by items
+  EXPECT_EQ(resolve_map_chunks(0), 1u);  // never zero
 }
 
 }  // namespace
