@@ -125,6 +125,12 @@ class KvListReader {
   /// Throws std::runtime_error on a corrupt frame.
   std::optional<KvListView> next();
 
+  /// As next(), but refills a view the caller owns: its value vector keeps
+  /// its capacity, so a reader drained group by group allocates only when
+  /// a group outgrows every earlier one. Returns false at end of buffer
+  /// (the view is then unchanged).
+  bool next(KvListView& view);
+
   bool at_end() const noexcept { return offset_ == buf_.size(); }
 
  private:

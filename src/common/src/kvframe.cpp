@@ -146,9 +146,8 @@ void KvListWriter::reset(std::vector<std::byte>&& recycled) noexcept {
   pending_values_ = 0;
 }
 
-std::optional<KvListView> KvListReader::next() {
-  if (offset_ == buf_.size()) return std::nullopt;
-  KvListView view;
+bool KvListReader::next(KvListView& view) {
+  if (offset_ == buf_.size()) return false;
   view.key = read_sized(buf_, offset_);
   const auto count = get_varint(buf_, offset_);
   if (!count) corrupt();
@@ -156,10 +155,17 @@ std::optional<KvListView> KvListReader::next() {
   // remaining bytes is corrupt — check BEFORE reserving, or a hostile
   // count drives reserve() into bad_alloc.
   if (*count > buf_.size() - offset_) corrupt();
+  view.values.clear();
   view.values.reserve(static_cast<std::size_t>(*count));
   for (std::uint64_t i = 0; i < *count; ++i) {
     view.values.push_back(read_sized(buf_, offset_));
   }
+  return true;
+}
+
+std::optional<KvListView> KvListReader::next() {
+  KvListView view;
+  if (!next(view)) return std::nullopt;
   return view;
 }
 

@@ -102,7 +102,6 @@ MpiD::MpiD(minimpi::Comm& comm, Config config)
     setup.partitions = static_cast<std::uint32_t>(config_.reducers);
     setup.partitioner = shuffle::Partitioner(
         static_cast<std::uint32_t>(config_.reducers), config_.partitioner);
-    setup.combine = &*combine_runner_;
     // Under node aggregation the per-mapper frames never touch the
     // fabric: they stage raw for the node's combine tree, which decodes,
     // merges and only then codec-frames the merged stream (the leader's
@@ -194,8 +193,9 @@ void MpiD::ensure_role(Role expected, const char* what) const {
 }
 
 void MpiD::send(std::string_view key, std::string_view value) {
-  ensure_role(Role::kMapper, "send (MPI_D_Send)");
-  if (coded()) {
+  // One predictable branch per emit; the error path stays out of line.
+  if (role_ != Role::kMapper || finalized_ || coded()) [[unlikely]] {
+    ensure_role(Role::kMapper, "send (MPI_D_Send)");
     throw std::logic_error(
         "MpiD: send (MPI_D_Send) is unavailable when coded_replication > 1 "
         "— run the task's sub-splits through run_map_coded instead");
@@ -658,7 +658,6 @@ void MpiD::run_coded_pipeline(
   setup.partitions = static_cast<std::uint32_t>(config_.reducers);
   setup.partitioner = shuffle::Partitioner(
       static_cast<std::uint32_t>(config_.reducers), config_.partitioner);
-  setup.combine = &combine;
   setup.counters = counters;
   setup.sink = std::move(sink);
   shuffle::SpillEncoder encoder(config_, std::move(setup));

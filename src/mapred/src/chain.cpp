@@ -301,7 +301,7 @@ void ChainState::trim(std::size_t rounds) {
 }
 
 /// Runs the map side of one round on mapper rank `p`. Round 1 maps the
-/// external `source` through job.ingest (`source` is null on later
+/// external `input` through job.ingest (`input` is null on later
 /// rounds); later rounds map this partition's resident pairs through the
 /// current stage's map. Chain accounting accumulates into `acc`;
 /// `reingest` marks the unchained ablation, where resident pairs count as
@@ -309,14 +309,14 @@ void ChainState::trim(std::size_t rounds) {
 /// run_map_task's chain-wide crash-tick carry (null: one-round job).
 void run_map_side(core::MpiD& mpid, const ChainJob& job,
                   const PlanCursor& cur, int round, int p,
-                  RecordSource* source, const ResidentPartition& resident,
+                  detail::MapInput* input, const ResidentPartition& resident,
                   const StaticTables* statics, bool reingest,
                   shuffle::ShuffleCounters& acc, std::uint64_t* map_ticks) {
-  if (source != nullptr) {
+  if (input != nullptr) {
     std::vector<std::string> split;
     detail::run_map_task(mpid, job.tuning,
-                         detail::source_map_task(*source, job.ingest, p, split,
-                                                 &acc.ingest_bytes),
+                         detail::input_map_task(*input, job.ingest, p, split,
+                                                &acc.ingest_bytes),
                          map_ticks);
     return;
   }
@@ -365,7 +365,7 @@ void run_map_side(core::MpiD& mpid, const ChainJob& job,
 /// rounds are separate jobs and pass no `map_ticks`.
 void run_round(core::MpiD& mpid, ChainState& state, const ChainJob& job,
                const PlanCursor& cur, int round,
-               std::vector<RecordSource>& inputs, bool live, bool chained,
+               std::vector<detail::MapInput>& inputs, bool live, bool chained,
                std::uint64_t* map_ticks) {
   switch (mpid.role()) {
     case core::Role::kMapper: {
@@ -451,26 +451,17 @@ ChainResult assemble_result(ChainState& state, const ChainJob& job,
   return result;
 }
 
-}  // namespace
-
-// --------------------------------------------------------------- JobChain --
-
-JobChain::JobChain(int partitions) : partitions_(partitions) {
-  if (partitions < 1) {
-    throw std::invalid_argument("JobChain: need >= 1 partition");
-  }
-}
-
-ChainResult JobChain::run(const ChainJob& job,
-                          std::vector<RecordSource> inputs) const {
+/// JobChain::run over `inputs`, one per partition.
+ChainResult run_chained(const ChainJob& job, int partitions,
+                        std::vector<detail::MapInput> inputs) {
   chain_detail::validate_job(job);
-  if (inputs.size() != static_cast<std::size_t>(partitions_)) {
+  if (inputs.size() != static_cast<std::size_t>(partitions)) {
     throw std::invalid_argument("JobChain: need one input per partition");
   }
 
   core::Config config = job.tuning;
-  config.mappers = partitions_;
-  config.reducers = partitions_;
+  config.mappers = partitions;
+  config.reducers = partitions;
   config.sort_keys = true;  // chains always reduce through the merge phase
   // Budget for every barrier the plan can reach: each stage's round
   // allowance plus the empty teardown barrier an early-converged chain
@@ -479,11 +470,11 @@ ChainResult JobChain::run(const ChainJob& job,
       static_cast<std::size_t>(chain_detail::total_max_rounds(job)) + 1;
   config.validate();
 
-  ChainState state(job, partitions_, config);
+  ChainState state(job, partitions, config);
   // The static channel: realigned once, before the world starts, pinned
   // for every round. (The unchained ablation rebuilds this per round —
   // that delta is the static_bytes_reshuffled counter.)
-  const StaticTables statics(job.static_input, partitions_,
+  const StaticTables statics(job.static_input, partitions,
                              config.partitioner);
   state.statics = job.static_input.empty() ? nullptr : &statics;
 
@@ -516,37 +507,29 @@ ChainResult JobChain::run(const ChainJob& job,
   return assemble_result(state, job, std::move(report));
 }
 
-ChainResult JobChain::run_on_text(const ChainJob& job,
-                                  std::string_view text) const {
-  const auto chunks = split_text(text, partitions_);
-  std::vector<RecordSource> inputs;
-  inputs.reserve(chunks.size());
-  for (const auto chunk : chunks) inputs.push_back(line_source(chunk));
-  return run(job, std::move(inputs));
-}
-
-ChainResult JobChain::run_unchained(const ChainJob& job,
-                                    std::vector<RecordSource> inputs) const {
+/// JobChain::run_unchained over `inputs`, one per partition.
+ChainResult run_unchained_rounds(const ChainJob& job, int partitions,
+                                 std::vector<detail::MapInput> inputs) {
   chain_detail::validate_job(job);
-  if (inputs.size() != static_cast<std::size_t>(partitions_)) {
+  if (inputs.size() != static_cast<std::size_t>(partitions)) {
     throw std::invalid_argument("JobChain: need one input per partition");
   }
 
   core::Config config = job.tuning;
-  config.mappers = partitions_;
-  config.reducers = partitions_;
+  config.mappers = partitions;
+  config.reducers = partitions;
   config.sort_keys = true;
   config.resident_rounds = 1;  // every round is a fresh one-shot world
   config.validate();
 
-  ChainState state(job, partitions_, config);
+  ChainState state(job, partitions, config);
   core::JobReport chain_report;
   PlanCursor cur;
   int round = 1;
   while (true) {
     // The ablation's whole point: the static channel is realigned again
     // for EVERY round — a fresh job has nothing pinned.
-    const StaticTables statics(job.static_input, partitions_,
+    const StaticTables statics(job.static_input, partitions,
                                config.partitioner);
     state.statics = job.static_input.empty() ? nullptr : &statics;
 
@@ -579,13 +562,37 @@ ChainResult JobChain::run_unchained(const ChainJob& job,
   return assemble_result(state, job, std::move(chain_report));
 }
 
+}  // namespace
+
+// --------------------------------------------------------------- JobChain --
+
+JobChain::JobChain(int partitions) : partitions_(partitions) {
+  if (partitions < 1) {
+    throw std::invalid_argument("JobChain: need >= 1 partition");
+  }
+}
+
+ChainResult JobChain::run(const ChainJob& job,
+                          std::vector<RecordSource> inputs) const {
+  return run_chained(job, partitions_,
+                     detail::source_inputs(std::move(inputs)));
+}
+
+ChainResult JobChain::run_on_text(const ChainJob& job,
+                                  std::string_view text) const {
+  return run_chained(job, partitions_, detail::text_inputs(text, partitions_));
+}
+
+ChainResult JobChain::run_unchained(const ChainJob& job,
+                                    std::vector<RecordSource> inputs) const {
+  return run_unchained_rounds(job, partitions_,
+                              detail::source_inputs(std::move(inputs)));
+}
+
 ChainResult JobChain::run_unchained_on_text(const ChainJob& job,
                                             std::string_view text) const {
-  const auto chunks = split_text(text, partitions_);
-  std::vector<RecordSource> inputs;
-  inputs.reserve(chunks.size());
-  for (const auto chunk : chunks) inputs.push_back(line_source(chunk));
-  return run_unchained(job, std::move(inputs));
+  return run_unchained_rounds(job, partitions_,
+                              detail::text_inputs(text, partitions_));
 }
 
 }  // namespace mpid::mapred

@@ -15,18 +15,21 @@ JobRunner::JobRunner(int mappers, int reducers)
   }
 }
 
-JobResult JobRunner::run(const JobDef& job,
-                         std::vector<RecordSource> inputs) const {
+namespace {
+
+/// JobRunner::run over `inputs`, one per mapper.
+JobResult run_job(const JobDef& job, int mappers, int reducers,
+                  std::vector<detail::MapInput> inputs) {
   if (!job.map || !job.reduce) {
     throw std::invalid_argument("JobRunner: map and reduce must be set");
   }
-  if (inputs.size() != static_cast<std::size_t>(mappers_)) {
+  if (inputs.size() != static_cast<std::size_t>(mappers)) {
     throw std::invalid_argument("JobRunner: need one input per mapper");
   }
 
   core::Config config = job.tuning;
-  config.mappers = mappers_;
-  config.reducers = reducers_;
+  config.mappers = mappers;
+  config.reducers = reducers;
   config.combiner = job.combiner;
   // A sorted reduce is Hadoop's merge phase, and the merge needs every
   // shipped frame to be one sorted run.
@@ -34,20 +37,28 @@ JobResult JobRunner::run(const JobDef& job,
   if (merge) config.sort_keys = true;
 
   // Each reducer writes only its own run; run_world's join publishes them.
-  std::vector<KvVec> runs(static_cast<std::size_t>(reducers_));
+  std::vector<KvVec> runs(static_cast<std::size_t>(reducers));
   core::JobReport report;
 
-  // One split per mapper, filled when its map task loads it. The coded
-  // shuffle loads every split up front: each rank that replicates a map
-  // task must re-read its split — the task's own mapper maps r
-  // sub-splits, and the home-group reducers replay r-1 of them as side
-  // information — and record sources are single-pass cursors (Hadoop's
-  // durable-split-in-DFS assumption, same as the fault path).
-  const bool coded = config.coded_replication > 1;
+  // One split per mapper, filled when its map task loads it.
   std::vector<std::vector<std::string>> splits(inputs.size());
+  std::vector<detail::MapTask> tasks;
+  tasks.reserve(inputs.size());
+  for (std::size_t m = 0; m < inputs.size(); ++m) {
+    tasks.push_back(detail::input_map_task(inputs[m], job.map,
+                                           static_cast<int>(m), splits[m],
+                                           /*bytes_read=*/nullptr));
+  }
+  // The coded shuffle loads every split up front: each rank that
+  // replicates a map task must re-read its split — the task's own mapper
+  // maps r sub-splits, and the home-group reducers replay r-1 of them as
+  // side information — and inputs are single-pass cursors (Hadoop's
+  // durable-split-in-DFS assumption, same as the fault path). The mapper
+  // then finds its task loaded.
+  const bool coded = config.coded_replication > 1;
   if (coded) {
-    for (std::size_t m = 0; m < inputs.size(); ++m) {
-      while (auto record = inputs[m]()) splits[m].push_back(std::move(*record));
+    for (auto& task : tasks) {
+      task.load = [count = task.load()] { return count; };
     }
   }
 
@@ -55,12 +66,8 @@ JobResult JobRunner::run(const JobDef& job,
     core::MpiD mpid(comm, config);
     switch (mpid.role()) {
       case core::Role::kMapper: {
-        const int mapper = mpid.mapper_index();
-        const auto m = static_cast<std::size_t>(mapper);
         detail::run_map_task(
-            mpid, config,
-            detail::source_map_task(inputs[m], job.map, mapper, splits[m],
-                                    /*bytes_read=*/nullptr));
+            mpid, config, tasks[static_cast<std::size_t>(mpid.mapper_index())]);
         mpid.finalize();
         break;
       }
@@ -107,13 +114,17 @@ JobResult JobRunner::run(const JobDef& job,
   return result;
 }
 
+}  // namespace
+
+JobResult JobRunner::run(const JobDef& job,
+                         std::vector<RecordSource> inputs) const {
+  return run_job(job, mappers_, reducers_,
+                 detail::source_inputs(std::move(inputs)));
+}
+
 JobResult JobRunner::run_on_text(const JobDef& job,
                                  std::string_view text) const {
-  const auto chunks = split_text(text, mappers_);
-  std::vector<RecordSource> inputs;
-  inputs.reserve(chunks.size());
-  for (const auto chunk : chunks) inputs.push_back(line_source(chunk));
-  return run(job, std::move(inputs));
+  return run_job(job, mappers_, reducers_, detail::text_inputs(text, mappers_));
 }
 
 }  // namespace mpid::mapred

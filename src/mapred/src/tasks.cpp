@@ -30,23 +30,32 @@ void straggle(fault::FaultInjector& inj, fault::TaskKind kind, int task,
   if (lag.count() > 0) std::this_thread::sleep_for(lag);
 }
 
-}  // namespace
+std::optional<std::string> next_record(RecordSource& source) {
+  return source();
+}
 
-MapTask source_map_task(RecordSource& source, const MapFn& map, int mapper,
+std::optional<std::string_view> next_record(LineReader& reader) noexcept {
+  return reader.next();
+}
+
+/// input_map_task for one reader type: RecordSource yields owned
+/// records, LineReader views into the text.
+template <typename Reader>
+MapTask reader_map_task(Reader& reader, const MapFn& map, int mapper,
                         std::vector<std::string>& split,
                         std::uint64_t* bytes_read) {
   MapTask task;
-  task.stream = [&source, &map, mapper, bytes_read](const Emit& emit) {
+  task.stream = [&reader, &map, mapper, bytes_read](const Emit& emit) {
     MapContext ctx(emit, mapper);
-    while (auto record = source()) {
+    while (auto record = next_record(reader)) {
       if (bytes_read != nullptr) *bytes_read += record->size();
       map(*record, ctx);
     }
   };
-  task.load = [&source, &split, bytes_read] {
-    while (auto record = source()) {
+  task.load = [&reader, &split, bytes_read] {
+    while (auto record = next_record(reader)) {
       if (bytes_read != nullptr) *bytes_read += record->size();
-      split.push_back(std::move(*record));
+      split.emplace_back(std::move(*record));
     }
     return split.size();
   };
@@ -60,6 +69,33 @@ MapTask source_map_task(RecordSource& source, const MapFn& map, int mapper,
     }
   };
   return task;
+}
+
+}  // namespace
+
+std::vector<MapInput> source_inputs(std::vector<RecordSource> sources) {
+  std::vector<MapInput> inputs;
+  inputs.reserve(sources.size());
+  for (auto& source : sources) inputs.emplace_back(std::move(source));
+  return inputs;
+}
+
+std::vector<MapInput> text_inputs(std::string_view text, int mappers) {
+  std::vector<MapInput> inputs;
+  for (const auto chunk : split_text(text, mappers)) {
+    inputs.emplace_back(LineReader(chunk));
+  }
+  return inputs;
+}
+
+MapTask input_map_task(MapInput& input, const MapFn& map, int mapper,
+                       std::vector<std::string>& split,
+                       std::uint64_t* bytes_read) {
+  return std::visit(
+      [&](auto& reader) {
+        return reader_map_task(reader, map, mapper, split, bytes_read);
+      },
+      input);
 }
 
 std::pair<std::size_t, std::size_t> part_range(std::size_t count,

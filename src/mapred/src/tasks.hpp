@@ -16,6 +16,7 @@
 #include <string_view>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "mpid/core/merge.hpp"
@@ -42,13 +43,24 @@ struct MapTask {
       map_range;
 };
 
-/// A map task over a single-pass record source, mapped by `map` under
-/// mapper index `mapper`. `load` moves the records into `split`, which
-/// must outlive the task. `bytes_read` (nullable) counts the record bytes
-/// read.
-MapTask source_map_task(RecordSource& source, const MapFn& map, int mapper,
-                        std::vector<std::string>& split,
-                        std::uint64_t* bytes_read);
+/// One mapper's external input: a record source, or a text split whose
+/// lines are read as views of the caller's text.
+using MapInput = std::variant<RecordSource, LineReader>;
+
+/// The inputs of a run over caller-supplied record sources.
+std::vector<MapInput> source_inputs(std::vector<RecordSource> sources);
+
+/// The inputs of a run over `text`: one LineReader per split_text() chunk,
+/// so a streamed map task never copies a line.
+std::vector<MapInput> text_inputs(std::string_view text, int mappers);
+
+/// A map task over a single-pass input, mapped by `map` under mapper
+/// index `mapper`. `stream` hands each record to `map` as read; `load`
+/// moves (or, for text, copies) the records into `split`, which must
+/// outlive the task. `bytes_read` (nullable) counts the record bytes read.
+MapTask input_map_task(MapInput& input, const MapFn& map, int mapper,
+                       std::vector<std::string>& split,
+                       std::uint64_t* bytes_read);
 
 /// Records [lo, hi) of part `part` when `count` records split into
 /// `parts` contiguous parts.

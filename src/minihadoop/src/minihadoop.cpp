@@ -564,7 +564,6 @@ JobSummary MiniCluster::run_internal(const MiniJobConfig& config,
     setup.frame_flush_bytes = shuffle::SpillEncoder::kUnboundedFrame;
     setup.partitioner =
         shuffle::Partitioner(static_cast<std::uint32_t>(config.reduce_tasks));
-    setup.combine = &combine;
     setup.compressor = compressor ? &*compressor : nullptr;
     setup.counters = &outcome.counters;
     setup.sink = [&bodies, &codec_flags](std::uint32_t r,

@@ -11,7 +11,10 @@
 // CombineRunner wraps the user combiner with the timing and the
 // single-value skip rule both runtimes share: a one-element value list is
 // already combined (the MapReduce combiner contract allows zero runs), so
-// the skewed tail of single-value keys never pays a combiner call.
+// the skewed tail of single-value keys never pays a combiner call. It
+// combines in the table: the values are collected, combined and written
+// back into the entry's chain, so the spill block-copies combined chains
+// like any other.
 #pragma once
 
 #include <algorithm>
@@ -29,10 +32,9 @@
 
 namespace mpid::shuffle {
 
-/// Runs the user combiner with wall-time accounting into
-/// ShuffleCounters::combine_ns. Stateless apart from a reused scratch
-/// vector; safe to share between the buffer (incremental combining) and
-/// the encoder (spill-time combining) of one task.
+/// Runs the user combiner on table entries in place (collect → combiner
+/// → replace), with wall-time accounting into ShuffleCounters::combine_ns.
+/// Stateless apart from scratch and result vectors reused across calls.
 class CombineRunner {
  public:
   CombineRunner(Combiner combiner, ShuffleCounters* counters)
@@ -40,20 +42,25 @@ class CombineRunner {
 
   bool enabled() const noexcept { return static_cast<bool>(combiner_); }
 
-  /// Replaces `values` with the combiner's output; only the combiner call
-  /// (and its output-size bookkeeping) is timed.
-  void combine(std::string_view key, std::vector<std::string>& values);
-
-  /// Incremental in-place combine of one flat-table entry (collect →
-  /// combiner → replace); the whole cycle is timed, matching what the
-  /// incremental trigger costs the map loop.
+  /// Incremental combine of one entry; the whole cycle is timed, matching
+  /// what the incremental trigger costs the map loop.
   void combine_entry(common::KvCombineTable& table, std::uint32_t index,
                      std::string_view key);
 
+  /// The spill-time combine: one pass over the table, in insertion order,
+  /// combining every entry that holds two or more values. The pass is
+  /// timed as a whole, with one clock read at each end. No-op without a
+  /// combiner.
+  void combine_table(common::KvCombineTable& table);
+
  private:
+  void combine_at(common::KvCombineTable& table, std::uint32_t index,
+                  std::string_view key);
+
   Combiner combiner_;
   ShuffleCounters* counters_;
-  std::vector<std::string> scratch_;
+  std::vector<std::string> scratch_;  // the collected values
+  std::vector<std::string> result_;   // the combiner's output
 };
 
 /// The map-output (or reducer grouping) buffer. append() until
@@ -66,7 +73,8 @@ class MapOutputBuffer {
   using Entry = common::KvCombineTable::EntryView;
 
   /// `combine` (nullable) enables incremental combining at
-  /// options.inline_combine_threshold; `counters` receives the spill/peak
+  /// options.inline_combine_threshold and the spill-time combine();
+  /// `counters` receives the spill/peak
   /// accounting. Both pointers must outlive the buffer. `budget`
   /// (nullable) makes the buffer a budgeted consumer of the two-tier
   /// store: growth is charged in spill_page_bytes chunks, and a refused
@@ -97,6 +105,14 @@ class MapOutputBuffer {
     return table_.max_entry_frame_bytes();
   }
 
+  /// The spill-time combine: runs the combiner in place over every entry
+  /// holding two or more values (CombineRunner::combine_table).
+  /// SpillEncoder::spill calls it right before drain(). The peak footprint
+  /// is noted first, so table_bytes_peak still reads what the map filled.
+  /// A throwing combiner empties the buffer, as a throwing drain does.
+  /// No-op on an empty buffer or without a combiner.
+  void combine();
+
   /// Empties the buffer through `fn(const Entry&)`, in first-insertion
   /// order or sorted by key. Counts the spill round (spills, peak);
   /// timing is the caller's job (SpillEncoder owns spill_ns). The
@@ -108,9 +124,7 @@ class MapOutputBuffer {
   void drain(bool sorted, Fn&& fn) {
     if (empty()) return;
     ++counters_->spills;
-    if (bytes_used() > counters_->table_bytes_peak) {
-      counters_->table_bytes_peak = bytes_used();
-    }
+    note_peak();
     try {
       table_.for_each(sorted, fn);
     } catch (...) {
@@ -141,6 +155,12 @@ class MapOutputBuffer {
   void clear();
 
  private:
+  void note_peak() noexcept {
+    if (bytes_used() > counters_->table_bytes_peak) {
+      counters_->table_bytes_peak = bytes_used();
+    }
+  }
+
   /// Returns every charged byte to the budget and re-opens the fast tier
   /// (called when the buffer empties).
   void release_budget() noexcept {

@@ -13,9 +13,11 @@
 //     segment that the sink publishes to the tasktracker's SegmentStore
 //     at task end.
 //
-// The encoder owns partitioning (via Partitioner), spill-time combining
-// (via CombineRunner), value sorting, frame flush policy and optional
-// compression (via FrameCompressor); the sink only moves bytes.
+// The encoder owns partitioning (via Partitioner), value sorting, frame
+// flush policy and optional compression (via FrameCompressor); the sink
+// only moves bytes. Spill-time combining happens in the buffer's table
+// before the drain (MapOutputBuffer::combine), so the encoder
+// block-copies combined value chains like any other.
 #pragma once
 
 #include <cstddef>
@@ -62,7 +64,6 @@ class SpillEncoder {
     /// flushing.
     std::size_t frame_flush_bytes = 0;
     Partitioner partitioner;
-    CombineRunner* combine = nullptr;        // nullable: no combiner
     FrameCompressor* compressor = nullptr;   // nullable: ship raw
     /// Re-arms flushed writers with recycled allocations (nullable: a
     /// flushed writer restarts empty). Only consulted on bounded frames.
@@ -76,9 +77,10 @@ class SpillEncoder {
   SpillEncoder(const SpillEncoder&) = delete;
   SpillEncoder& operator=(const SpillEncoder&) = delete;
 
-  /// Drains `buffer` into the partition frames: per entry — partition
-  /// select (reusing the cached key hash), spill-time combine, optional
-  /// value sort, serialize; full frames flush to the sink as they fill.
+  /// Drains `buffer` (which first runs its spill-time combine) into the
+  /// partition frames: per entry — partition select (reusing the cached
+  /// key hash), optional value sort, serialize; full frames flush to the
+  /// sink as they fill.
   /// With sort_keys every partition flushes at the end of the round, so a
   /// shipped frame is always a single sorted run (Hadoop's per-spill
   /// sorted files). The whole round is timed into spill_ns.
@@ -99,8 +101,6 @@ class SpillEncoder {
   };
 
   void append_entry(const MapOutputBuffer::Entry& entry);
-  void append_group(std::uint32_t partition, std::string_view key,
-                    std::vector<std::string>& values);
   void maybe_flush(std::uint32_t partition);
   void flush(std::uint32_t partition);
 
@@ -119,7 +119,6 @@ class SpillEncoder {
   const Layout layout_;
   const std::size_t flush_bytes_;
   Partitioner partitioner_;
-  CombineRunner* combine_;
   FrameCompressor* compressor_;
   common::FramePool* pool_;
   ShuffleCounters* counters_;
@@ -127,7 +126,7 @@ class SpillEncoder {
 
   std::vector<Writer> writers_;
   std::size_t capacity_hint_ = 0;
-  std::vector<std::string> scratch_;  // flat-entry materialization
+  std::vector<std::string> scratch_;  // sort_values materialization
 };
 
 }  // namespace mpid::shuffle

@@ -33,7 +33,6 @@
 #include <cstddef>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -85,10 +84,13 @@ class SegmentMerger {
   }
 
  private:
+  /// One frame being merged. advance() refills `current` in place, so
+  /// its value vector is allocated once per cursor, not once per group.
   struct Cursor {
     std::vector<std::byte> frame;
     common::KvListReader reader;
-    std::optional<common::KvListView> current;
+    common::KvListView current;
+    bool live = false;  // `current` holds a group; false once exhausted
 
     explicit Cursor(std::vector<std::byte> f)
         : frame(std::move(f)), reader(frame) {}

@@ -15,11 +15,13 @@ std::uint64_t now_ns() noexcept {
 
 }  // namespace
 
-void CombineRunner::combine(std::string_view key,
-                            std::vector<std::string>& values) {
-  const std::uint64_t start = now_ns();
-  values = combiner_(key, std::move(values));
-  counters_->combine_ns += now_ns() - start;
+void CombineRunner::combine_at(common::KvCombineTable& table,
+                               std::uint32_t index, std::string_view key) {
+  scratch_.clear();
+  auto cursor = table.entry_at(index).values;
+  while (auto v = cursor.next()) scratch_.emplace_back(*v);
+  result_ = combiner_(key, std::move(scratch_));
+  table.replace_at(index, result_);
 }
 
 void CombineRunner::combine_entry(common::KvCombineTable& table,
@@ -27,12 +29,18 @@ void CombineRunner::combine_entry(common::KvCombineTable& table,
   // Addressed by the dense index the append just returned: the combine
   // cycle costs zero additional probes.
   const std::uint64_t start = now_ns();
-  scratch_.clear();
-  auto cursor = table.entry_at(index).values;
-  while (auto v = cursor.next()) scratch_.emplace_back(*v);
-  scratch_ = combiner_(key, std::move(scratch_));
-  table.replace_at(index, scratch_);
-  scratch_.clear();
+  combine_at(table, index, key);
+  counters_->combine_ns += now_ns() - start;
+}
+
+void CombineRunner::combine_table(common::KvCombineTable& table) {
+  if (!enabled()) return;
+  const std::uint64_t start = now_ns();
+  const auto entries = static_cast<std::uint32_t>(table.size());
+  for (std::uint32_t i = 0; i < entries; ++i) {
+    const auto entry = table.entry_at(i);
+    if (entry.value_count > 1) combine_at(table, i, entry.key);
+  }
   counters_->combine_ns += now_ns() - start;
 }
 
@@ -68,6 +76,17 @@ void MapOutputBuffer::append(std::string_view key, std::string_view value) {
   if (inline_combine_threshold_ > 0 && combine_ != nullptr &&
       combine_->enabled() && count >= inline_combine_threshold_) {
     combine_->combine_entry(table_, table_.last_index(), key);
+  }
+}
+
+void MapOutputBuffer::combine() {
+  if (empty() || combine_ == nullptr) return;
+  note_peak();
+  try {
+    combine_->combine_table(table_);
+  } catch (...) {
+    clear();
+    throw;
   }
 }
 

@@ -23,7 +23,6 @@ SpillEncoder::SpillEncoder(const ShuffleOptions& options, Setup setup)
       flush_bytes_(setup.frame_flush_bytes == 0 ? options.partition_frame_bytes
                                                 : setup.frame_flush_bytes),
       partitioner_(std::move(setup.partitioner)),
-      combine_(setup.combine),
       compressor_(setup.compressor),
       pool_(setup.pool),
       counters_(setup.counters),
@@ -36,22 +35,25 @@ SpillEncoder::SpillEncoder(const ShuffleOptions& options, Setup setup)
 void SpillEncoder::spill(MapOutputBuffer& buffer) {
   if (buffer.empty()) return;
   const std::uint64_t start = now_ns();
-  if (flush_bytes_ != kUnboundedFrame) {
-    // Reserve every frame at the flush threshold plus the buffer's exact
-    // worst-case single-entry overshoot and the transport's tail room: no
-    // append can reallocate a frame, and pool acquisitions reuse the same
-    // bound.
-    capacity_hint_ =
-        flush_bytes_ + buffer.max_entry_frame_bytes() + kFrameTailRoom;
-    for (auto& w : writers_) {
-      if (layout_ == Layout::kKvList) {
-        w.list.reserve(capacity_hint_);
-      } else {
-        w.pair.reserve(capacity_hint_);
+  try {
+    // The combine runs first, so the reservation below sizes the combined
+    // entries.
+    buffer.combine();
+    if (flush_bytes_ != kUnboundedFrame) {
+      // Reserve every frame at the flush threshold plus the buffer's exact
+      // worst-case single-entry overshoot and the transport's tail room:
+      // no append can reallocate a frame, and pool acquisitions reuse the
+      // same bound.
+      capacity_hint_ =
+          flush_bytes_ + buffer.max_entry_frame_bytes() + kFrameTailRoom;
+      for (auto& w : writers_) {
+        if (layout_ == Layout::kKvList) {
+          w.list.reserve(capacity_hint_);
+        } else {
+          w.pair.reserve(capacity_hint_);
+        }
       }
     }
-  }
-  try {
     buffer.drain(options_.sort_keys, [this](const MapOutputBuffer::Entry& e) {
       append_entry(e);
     });
@@ -70,27 +72,25 @@ void SpillEncoder::spill(MapOutputBuffer& buffer) {
 
 void SpillEncoder::append_entry(const MapOutputBuffer::Entry& entry) {
   const std::uint32_t p = partitioner_.of_hashed(entry.key, entry.key_hash);
-  const bool combining = combine_ != nullptr && combine_->enabled();
-  if ((combining || options_.sort_values) && entry.value_count > 1) {
-    // Combining and value sorting need materialized std::strings; the
-    // scratch vector is reused across entries. Single-value entries — the
-    // bulk of a skewed stream's key tail — skip both: a one-element list
-    // is already sorted, and the MapReduce combiner contract (it may run
-    // zero or more times) makes the combiner a no-op on a single value.
-    scratch_.clear();
-    auto cursor = entry.values;
-    while (auto v = cursor.next()) scratch_.emplace_back(*v);
-    if (combining) combine_->combine(entry.key, scratch_);
-    append_group(p, entry.key, scratch_);
-    return;
-  }
-  // No combining, no sorting: on the kKvList layout the slab chain already
-  // holds the frame's wire format, so the spill block-copies it straight
-  // into the partition frame — each byte moves exactly once, with no
-  // per-value re-encode.
   auto& w = writers_[p];
   auto cursor = entry.values;
-  if (layout_ == Layout::kKvList) {
+  if (options_.sort_values && entry.value_count > 1) {
+    // "It can also sort the value list for each key on demand." Sorting
+    // needs materialized std::strings; the scratch vector is reused
+    // across entries, and a one-element list is already sorted.
+    scratch_.clear();
+    while (auto v = cursor.next()) scratch_.emplace_back(*v);
+    std::sort(scratch_.begin(), scratch_.end());
+    if (layout_ == Layout::kKvList) {
+      w.list.begin_group(entry.key, scratch_.size());
+      for (const auto& v : scratch_) w.list.add_value(v);
+    } else {
+      for (const auto& v : scratch_) w.pair.append(entry.key, v);
+    }
+  } else if (layout_ == Layout::kKvList) {
+    // On the kKvList layout the slab chain already holds the frame's wire
+    // format, so the spill block-copies it straight into the partition
+    // frame — each byte moves exactly once, with no per-value re-encode.
     w.list.begin_group(entry.key, entry.value_count);
     cursor.drain_to(w.list);
   } else {
@@ -98,21 +98,6 @@ void SpillEncoder::append_entry(const MapOutputBuffer::Entry& entry) {
   }
   counters_->pairs_after_combine += entry.value_count;
   maybe_flush(p);
-}
-
-void SpillEncoder::append_group(std::uint32_t partition, std::string_view key,
-                                std::vector<std::string>& values) {
-  // "It can also sort the value list for each key on demand."
-  if (options_.sort_values) std::sort(values.begin(), values.end());
-  auto& w = writers_[partition];
-  if (layout_ == Layout::kKvList) {
-    w.list.begin_group(key, values.size());
-    for (const auto& v : values) w.list.add_value(v);
-  } else {
-    for (const auto& v : values) w.pair.append(key, v);
-  }
-  counters_->pairs_after_combine += values.size();
-  maybe_flush(partition);
 }
 
 void SpillEncoder::maybe_flush(std::uint32_t partition) {

@@ -122,11 +122,11 @@ void SegmentMerger::finish_spill_phase() {
 }
 
 bool SegmentMerger::CursorSource::next(store::Group& group) {
-  if (!cursor_->current) return false;
-  group.key.assign(cursor_->current->key);
+  if (!cursor_->live) return false;
+  group.key.assign(cursor_->current.key);
   group.values.clear();
-  group.values.reserve(cursor_->current->values.size());
-  for (const auto v : cursor_->current->values) group.values.emplace_back(v);
+  group.values.reserve(cursor_->current.values.size());
+  for (const auto v : cursor_->current.values) group.values.emplace_back(v);
   SegmentMerger::advance(*cursor_);
   return true;
 }
@@ -157,9 +157,9 @@ void SegmentMerger::advance(Cursor& cursor) {
   // moves (the cursors sit in a deque), so the view outlives next(). No
   // key sorts below the empty view, so the first group needs no check.
   const std::string_view previous =
-      cursor.current ? cursor.current->key : std::string_view{};
-  cursor.current = cursor.reader.next();
-  if (cursor.current && cursor.current->key < previous) {
+      cursor.live ? cursor.current.key : std::string_view{};
+  cursor.live = cursor.reader.next(cursor.current);
+  if (cursor.live && cursor.current.key < previous) {
     throw std::logic_error(
         "SegmentMerger: frame is not key-sorted (enable sort_keys on the "
         "producers)");
@@ -173,19 +173,19 @@ bool SegmentMerger::next_cursor_group(std::string& key,
   // the strict < keeps the earliest cursor on ties.
   const Cursor* best = nullptr;
   for (const auto& cursor : cursors_) {
-    if (!cursor.current) continue;
-    if (best == nullptr || cursor.current->key < best->current->key) {
+    if (!cursor.live) continue;
+    if (best == nullptr || cursor.current.key < best->current.key) {
       best = &cursor;
     }
   }
   if (best == nullptr) return false;
 
-  key.assign(best->current->key);
+  key.assign(best->current.key);
   values.clear();
   // Drain the chosen key from every cursor, in arrival order.
   for (auto& cursor : cursors_) {
-    while (cursor.current && cursor.current->key == key) {
-      for (const auto v : cursor.current->values) values.emplace_back(v);
+    while (cursor.live && cursor.current.key == key) {
+      for (const auto v : cursor.current.values) values.emplace_back(v);
       advance(cursor);
     }
   }

@@ -34,7 +34,6 @@ NodeAggregator::NodeAggregator(const ShuffleOptions& options, Setup setup)
                    .partitions = setup.partitions,
                    .frame_flush_bytes = setup.frame_flush_bytes,
                    .partitioner = std::move(setup.partitioner),
-                   .combine = setup.combine,
                    .compressor = nullptr,
                    .pool = setup.pool,
                    .counters = setup.counters,

@@ -27,7 +27,6 @@ ParallelMapper::Lane::Lane(const ShuffleOptions& options, const Setup& setup)
                   setup.partitions,
                   setup.frame_flush_bytes,
                   Partitioner(setup.partitions, setup.partitioner),
-                  &combine,
                   // Lane encoders never compress: the shared codec stage
                   // is stateful (kAuto back-off) and runs at the
                   // serialized sequencer drain instead.

@@ -1,9 +1,14 @@
 // Robustness fuzzing for the frame decoders: random mutations of valid
 // frames must either parse (possibly to different data) or throw — never
 // crash, hang, or read out of bounds (ASAN-observable). The reducer-side
-// reverse realignment depends on this discipline.
+// reverse realignment depends on this discipline. KvListReader's two
+// forms — next() returning a fresh view and next(view) refilling the
+// caller's — decode every frame in lockstep and must agree group by group,
+// throw included.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <span>
 #include <string>
 
 #include "mpid/common/kvframe.hpp"
@@ -32,6 +37,40 @@ std::vector<std::byte> valid_kvlist_frame(Xoshiro256StarStar& rng) {
     for (std::uint64_t v = 0; v < values; ++v) writer.add_value("val");
   }
   return writer.take();
+}
+
+/// Decodes `frame` with both KvListReader forms side by side. The refill
+/// form reuses one view across groups of every size and must yield the
+/// same groups as next(), and throw on the same group when next() does.
+/// Fails the test if the decoders run past `kMaxGroups`.
+void expect_list_forms_agree(std::span<const std::byte> frame) {
+  constexpr std::size_t kMaxGroups = 100000;
+  KvListReader by_value(frame);
+  KvListReader by_refill(frame);
+  KvListView view;
+  for (std::size_t groups = 0; groups <= kMaxGroups; ++groups) {
+    std::optional<KvListView> want;
+    bool want_threw = false;
+    try {
+      want = by_value.next();
+    } catch (const std::runtime_error&) {
+      want_threw = true;  // corruption detected: acceptable
+    }
+    bool got = false;
+    bool got_threw = false;
+    try {
+      got = by_refill.next(view);
+    } catch (const std::runtime_error&) {
+      got_threw = true;
+    }
+    ASSERT_EQ(got_threw, want_threw) << "group " << groups;
+    if (want_threw) return;
+    ASSERT_EQ(got, want.has_value()) << "group " << groups;
+    if (!got) return;
+    EXPECT_EQ(view.key, want->key) << "group " << groups;
+    EXPECT_EQ(view.values, want->values) << "group " << groups;
+  }
+  FAIL() << "decoder failed to terminate";
 }
 
 class FrameFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -72,15 +111,14 @@ TEST_P(FrameFuzzTest, MutatedKvListFramesNeverCrash) {
           static_cast<std::byte>(rng.next_below(256));
     }
     if (rng.next_below(3) == 0) frame.resize(rng.next_below(frame.size() + 1));
+    expect_list_forms_agree(frame);
+  }
+}
 
-    KvListReader reader(frame);
-    try {
-      std::size_t groups = 0;
-      while (reader.next()) {
-        if (++groups > 100000) FAIL() << "decoder failed to terminate";
-      }
-    } catch (const std::runtime_error&) {
-    }
+TEST_P(FrameFuzzTest, ValidKvListFramesDecodeAlikeInBothForms) {
+  Xoshiro256StarStar rng(GetParam() * 977);
+  for (int iter = 0; iter < 200; ++iter) {
+    expect_list_forms_agree(valid_kvlist_frame(rng));
   }
 }
 
@@ -90,17 +128,12 @@ TEST_P(FrameFuzzTest, RandomGarbageNeverCrashes) {
     std::vector<std::byte> garbage(rng.next_below(300));
     for (auto& b : garbage) b = static_cast<std::byte>(rng.next_below(256));
     KvReader kv(garbage);
-    KvListReader kvl(garbage);
     try {
       while (kv.next()) {
       }
     } catch (const std::runtime_error&) {
     }
-    try {
-      while (kvl.next()) {
-      }
-    } catch (const std::runtime_error&) {
-    }
+    expect_list_forms_agree(garbage);
   }
 }
 

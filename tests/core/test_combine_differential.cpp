@@ -1,13 +1,15 @@
-// Differential tests of the arena-backed combine path: the flat table must
-// be observationally identical to a reference buffer with the legacy
-// node-based semantics it replaced.
+// Differential tests of the combine path that ships: MapOutputBuffer +
+// SpillEncoder must be observationally identical to a reference buffer
+// with the legacy node-based semantics the flat table replaced.
 //
 // Two layers:
-//   1. Table-level: drive KvCombineTable and a reference buffer (insertion
-//      -ordered map mimicking the exact combine/spill discipline) with the
-//      same seeded pair streams — uniform and Zipf keys, combiner on/off,
-//      forced spills — and assert the realigned per-partition frames are
-//      byte-identical, spill round by spill round.
+//   1. Spill-level: drive the production buffer and encoder (kKvList
+//      layout, sort_keys on and off) and a reference buffer (an
+//      insertion-ordered map restating the combine/spill discipline) with
+//      the same seeded pair streams — uniform and Zipf keys, combiners
+//      that return one, two or no values, sort_values, forced spills —
+//      and assert the realigned per-partition frames are byte-identical,
+//      spill round by spill round.
 //   2. Job-level: run an MpiD wordcount under spill pressure and assert
 //      its reduced counts equal a serial count of the same streams.
 #include <gtest/gtest.h>
@@ -17,16 +19,18 @@
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "mpid/common/hash.hpp"
 #include "mpid/common/kvframe.hpp"
-#include "mpid/common/kvtable.hpp"
 #include "mpid/common/prng.hpp"
 #include "mpid/common/zipf.hpp"
 #include "mpid/core/mpid.hpp"
 #include "mpid/minimpi/world.hpp"
+#include "mpid/shuffle/buffer.hpp"
+#include "mpid/shuffle/engine.hpp"
 
 namespace mpid::core {
 namespace {
@@ -34,21 +38,66 @@ namespace {
 using minimpi::Comm;
 using minimpi::run_world;
 
+std::uint64_t sum_of(const std::vector<std::string>& values) {
+  std::uint64_t total = 0;
+  for (const auto& v : values) total += std::stoull(v);
+  return total;
+}
+
 Combiner sum_combiner() {
   return [](std::string_view, std::vector<std::string>&& values) {
-    std::uint64_t total = 0;
-    for (const auto& v : values) total += std::stoull(v);
-    return std::vector<std::string>{std::to_string(total)};
+    return std::vector<std::string>{std::to_string(sum_of(values))};
   };
 }
 
-/// The legacy buffer semantics, restated independently of mpid.cpp:
+/// Keeps the sum but returns two values, so a combined list still has
+/// more than one value (and a value order sort_values can change).
+Combiner pair_combiner() {
+  return [](std::string_view, std::vector<std::string>&& values) {
+    return std::vector<std::string>{std::to_string(sum_of(values)), "0"};
+  };
+}
+
+/// Drops every value: a combined key ships as a group with no values.
+Combiner drop_combiner() {
+  return [](std::string_view, std::vector<std::string>&&) {
+    return std::vector<std::string>{};
+  };
+}
+
+enum class CombineKind { kNone, kSum, kPair, kDrop };
+
+Combiner combiner_for(CombineKind kind) {
+  switch (kind) {
+    case CombineKind::kNone:
+      return {};
+    case CombineKind::kSum:
+      return sum_combiner();
+    case CombineKind::kPair:
+      return pair_combiner();
+    case CombineKind::kDrop:
+      return drop_combiner();
+  }
+  return {};
+}
+
+/// How one stream is buffered and spilled.
+struct SpillShape {
+  Combiner combiner;
+  std::size_t combine_threshold = 0;  // 0: no incremental combine
+  bool sorted = false;                // sort_keys
+  bool sort_values = false;
+  std::uint32_t partitions = 1;
+};
+
+using Frames = std::vector<std::vector<std::byte>>;  // one per partition
+
+/// The legacy buffer semantics, restated independently of src/shuffle:
 /// insertion-ordered keys, per-key value vectors, the same incremental-
 /// combine trigger the runtime uses.
 class ReferenceBuffer {
  public:
-  explicit ReferenceBuffer(Combiner combiner, std::size_t combine_threshold)
-      : combiner_(std::move(combiner)), combine_threshold_(combine_threshold) {}
+  explicit ReferenceBuffer(SpillShape shape) : shape_(std::move(shape)) {}
 
   void append(std::string_view key, std::string_view value) {
     auto it = index_.find(key);
@@ -60,44 +109,47 @@ class ReferenceBuffer {
     }
     auto& list = values_[it->second];
     list.emplace_back(value);
-    if (combiner_ && combine_threshold_ > 0 &&
-        list.size() >= combine_threshold_) {
-      list = combiner_(key, std::move(list));
+    if (shape_.combiner && shape_.combine_threshold > 0 &&
+        list.size() >= shape_.combine_threshold) {
+      list = shape_.combiner(key, std::move(list));
     }
   }
 
   /// Drains into per-partition KvListWriter frames exactly like a spill:
-  /// optional final combiner pass, sorted or insertion-ordered keys,
+  /// a final combiner pass over every list of two or more values (a
+  /// one-value list is already combined: the combiner may run zero
+  /// times), optional value sort, sorted or insertion-ordered keys,
   /// hash-partitioned.
-  std::vector<std::vector<std::byte>> spill(bool sorted,
-                                            std::uint32_t partitions) {
+  Frames spill() {
     std::vector<std::size_t> order(keys_.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    if (sorted) {
+    if (shape_.sorted) {
       std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
         return keys_[a] < keys_[b];
       });
     }
-    std::vector<common::KvListWriter> writers(partitions);
+    std::vector<common::KvListWriter> writers(shape_.partitions);
     for (const auto i : order) {
       auto values = std::move(values_[i]);
-      if (combiner_) values = combiner_(keys_[i], std::move(values));
-      auto& w = writers[common::fnv1a64(keys_[i]) % partitions];
+      if (shape_.combiner && values.size() > 1) {
+        values = shape_.combiner(keys_[i], std::move(values));
+      }
+      if (shape_.sort_values) std::sort(values.begin(), values.end());
+      auto& w = writers[common::fnv1a64(keys_[i]) % shape_.partitions];
       w.begin_group(keys_[i], values.size());
       for (const auto& v : values) w.add_value(v);
     }
     keys_.clear();
     values_.clear();
     index_.clear();
-    std::vector<std::vector<std::byte>> frames;
-    frames.reserve(partitions);
+    Frames frames;
+    frames.reserve(shape_.partitions);
     for (auto& w : writers) frames.push_back(w.take());
     return frames;
   }
 
  private:
-  Combiner combiner_;
-  std::size_t combine_threshold_;
+  SpillShape shape_;
   std::vector<std::string> keys_;                 // insertion order
   std::vector<std::vector<std::string>> values_;  // parallel to keys_
   std::unordered_map<std::string, std::size_t, common::TransparentStringHash,
@@ -105,66 +157,68 @@ class ReferenceBuffer {
       index_;
 };
 
-/// The flat table driven with the same discipline as ReferenceBuffer.
-class TableBuffer {
+/// The shipped spill path, wired as MPI-D wires it (kKvList frames), with
+/// one unbounded frame per partition per spill round so every round's
+/// frames line up with the reference's.
+class ProductionBuffer {
  public:
-  explicit TableBuffer(Combiner combiner, std::size_t combine_threshold)
-      : combiner_(std::move(combiner)), combine_threshold_(combine_threshold) {}
+  explicit ProductionBuffer(const SpillShape& shape)
+      : options_(options_for(shape)),
+        combine_(shape.combiner, &counters_),
+        buffer_(options_, &combine_, &counters_),
+        encoder_(options_, setup_for(shape)),
+        frames_(shape.partitions) {}
 
   void append(std::string_view key, std::string_view value) {
-    const auto count = table_.append(key, value);
-    if (combiner_ && combine_threshold_ > 0 && count >= combine_threshold_) {
-      // Index-addressed combine, as in MpiD::combine_flat_entry.
-      const auto index = table_.last_index();
-      scratch_.clear();
-      auto cursor = table_.entry_at(index).values;
-      while (auto v = cursor.next()) scratch_.emplace_back(*v);
-      scratch_ = combiner_(key, std::move(scratch_));
-      table_.replace_at(index, scratch_);
-    }
+    buffer_.append(key, value);
   }
 
-  std::vector<std::vector<std::byte>> spill(bool sorted,
-                                            std::uint32_t partitions) {
-    std::vector<common::KvListWriter> writers(partitions);
-    table_.for_each(sorted, [&](const common::KvCombineTable::EntryView& e) {
-      auto& w = writers[common::fnv1a64(e.key) % partitions];
-      if (combiner_ && e.value_count > 1) {
-        scratch_.clear();
-        auto cursor = e.values;
-        while (auto v = cursor.next()) scratch_.emplace_back(*v);
-        scratch_ = combiner_(e.key, std::move(scratch_));
-        w.begin_group(e.key, scratch_.size());
-        for (const auto& v : scratch_) w.add_value(v);
-      } else {
-        // Mirrors the runtime's stream path: single-value entries skip
-        // the combiner (it may legally run zero times) and the slab
-        // chain block-copies into the frame via drain_to.
-        w.begin_group(e.key, e.value_count);
-        auto cursor = e.values;
-        cursor.drain_to(w);
-      }
-    });
-    table_.recycle();
-    std::vector<std::vector<std::byte>> frames;
-    frames.reserve(partitions);
-    for (auto& w : writers) frames.push_back(w.take());
-    return frames;
+  Frames spill() {
+    encoder_.spill(buffer_);
+    encoder_.flush_all();
+    Frames out(frames_.size());
+    out.swap(frames_);
+    return out;
   }
 
  private:
-  Combiner combiner_;
-  std::size_t combine_threshold_;
-  common::KvCombineTable table_;
-  std::vector<std::string> scratch_;
+  static shuffle::ShuffleOptions options_for(const SpillShape& shape) {
+    shuffle::ShuffleOptions options;
+    options.inline_combine_threshold = shape.combine_threshold;
+    options.sort_keys = shape.sorted;
+    options.sort_values = shape.sort_values;
+    return options;
+  }
+
+  shuffle::SpillEncoder::Setup setup_for(const SpillShape& shape) {
+    shuffle::SpillEncoder::Setup setup;
+    setup.layout = shuffle::Layout::kKvList;
+    setup.partitions = shape.partitions;
+    setup.frame_flush_bytes = shuffle::SpillEncoder::kUnboundedFrame;
+    setup.partitioner = shuffle::Partitioner(shape.partitions);
+    setup.counters = &counters_;
+    setup.sink = [this](std::uint32_t p, std::vector<std::byte> frame, bool) {
+      EXPECT_TRUE(frames_[p].empty()) << "two frames for partition " << p;
+      frames_[p] = std::move(frame);
+    };
+    return setup;
+  }
+
+  shuffle::ShuffleOptions options_;
+  shuffle::ShuffleCounters counters_;
+  shuffle::CombineRunner combine_;
+  shuffle::MapOutputBuffer buffer_;
+  shuffle::SpillEncoder encoder_;
+  Frames frames_;
 };
 
 struct StreamParams {
   const char* name;
-  bool zipf;            // Zipf(1.1) over the key space vs uniform keys
-  bool combiner;        // sum-combine on/off
-  bool sorted;          // sorted spill drains (Hadoop-style)
+  bool zipf;              // Zipf(1.1) over the key space vs uniform keys
+  CombineKind combiner;
+  bool sorted;            // sorted spill drains (Hadoop-style)
   std::uint64_t seed;
+  bool sort_values = false;
 };
 
 // gtest_discover_tests names each case after the printed parameter; by
@@ -178,25 +232,38 @@ class CombineDifferentialTest : public ::testing::TestWithParam<StreamParams> {
 INSTANTIATE_TEST_SUITE_P(
     Streams, CombineDifferentialTest,
     ::testing::Values(
-        StreamParams{"uniform_plain", false, false, false, 101},
-        StreamParams{"uniform_combine", false, true, false, 102},
-        StreamParams{"zipf_plain", true, false, false, 103},
-        StreamParams{"zipf_combine", true, true, false, 104},
-        StreamParams{"zipf_combine_sorted", true, true, true, 105},
-        StreamParams{"uniform_sorted", false, false, true, 106}),
+        StreamParams{"uniform_plain", false, CombineKind::kNone, false, 101},
+        StreamParams{"uniform_combine", false, CombineKind::kSum, false, 102},
+        StreamParams{"zipf_plain", true, CombineKind::kNone, false, 103},
+        StreamParams{"zipf_combine", true, CombineKind::kSum, false, 104},
+        StreamParams{"zipf_combine_sorted", true, CombineKind::kSum, true,
+                     105},
+        StreamParams{"uniform_sorted", false, CombineKind::kNone, true, 106},
+        StreamParams{"zipf_pair", true, CombineKind::kPair, false, 107},
+        StreamParams{"zipf_pair_sorted", true, CombineKind::kPair, true, 108},
+        StreamParams{"uniform_drop", false, CombineKind::kDrop, false, 109},
+        StreamParams{"zipf_drop_sorted", true, CombineKind::kDrop, true, 110},
+        StreamParams{"zipf_pair_sort_values", true, CombineKind::kPair, false,
+                     111, /*sort_values=*/true},
+        StreamParams{"uniform_sort_values_sorted", false, CombineKind::kNone,
+                     true, 112, /*sort_values=*/true}),
     [](const auto& info) { return info.param.name; });
 
 TEST_P(CombineDifferentialTest, SpillFramesAreByteIdentical) {
   const auto p = GetParam();
-  constexpr std::uint32_t kPartitions = 3;
   constexpr std::size_t kPairs = 30000;
   constexpr std::size_t kSpillEvery = 2048;  // forced spills mid-stream
   constexpr std::size_t kKeySpace = 400;
   constexpr std::size_t kCombineThreshold = 8;
 
-  Combiner combiner = p.combiner ? sum_combiner() : Combiner{};
-  TableBuffer table(combiner, p.combiner ? kCombineThreshold : 0);
-  ReferenceBuffer reference(combiner, p.combiner ? kCombineThreshold : 0);
+  SpillShape shape;
+  shape.combiner = combiner_for(p.combiner);
+  shape.combine_threshold = shape.combiner ? kCombineThreshold : 0;
+  shape.sorted = p.sorted;
+  shape.sort_values = p.sort_values;
+  shape.partitions = 3;
+  ProductionBuffer production(shape);
+  ReferenceBuffer reference(shape);
 
   common::Xoshiro256StarStar rng(p.seed);
   common::ZipfSampler zipf(kKeySpace, 1.1);
@@ -206,17 +273,15 @@ TEST_P(CombineDifferentialTest, SpillFramesAreByteIdentical) {
         p.zipf ? zipf(rng) : 1 + rng.next_below(kKeySpace);
     const auto key = "key-" + std::to_string(rank);
     const auto value = std::to_string(rng.next_below(1000));
-    table.append(key, value);
+    production.append(key, value);
     reference.append(key, value);
     if ((i + 1) % kSpillEvery == 0) {
-      const auto got = table.spill(p.sorted, kPartitions);
-      const auto want = reference.spill(p.sorted, kPartitions);
-      ASSERT_EQ(got, want) << "spill round " << spill_rounds;
+      ASSERT_EQ(production.spill(), reference.spill())
+          << "spill round " << spill_rounds;
       ++spill_rounds;
     }
   }
-  EXPECT_EQ(table.spill(p.sorted, kPartitions),
-            reference.spill(p.sorted, kPartitions));
+  EXPECT_EQ(production.spill(), reference.spill());
   EXPECT_GT(spill_rounds, 10u);
 }
 

@@ -5,12 +5,12 @@
 // mode, and scripted mapper and reducer crashes at random progress ticks.
 // The ticks are drawn across the span a fault-free run measures (records
 // per mapper, frames per reducer, both summed over every round), so in
-// the cc chain a crash can land in any round. Each faulted run must
-// reproduce the workload's serial reference exactly, and every crash that
-// fired must have been recovered by exactly one restart.
+// the cc and sssp chains a crash can land in any round. Each faulted run
+// must reproduce the workload's serial reference exactly, and every crash
+// that fired must have been recovered by exactly one restart.
 //
-// Tier-1 runs plans [0, 3000) of each workload, about 15 s of CPU on a
-// 4-vCPU Xeon VM. A longer slice (about 4 minutes there):
+// Tier-1 runs plans [0, 3000) of each workload, about 15 s of wall time
+// (35 s of CPU) on a 4-vCPU Xeon VM. A longer slice:
 //
 //   MPID_CHAOS_PLANS=20000 ctest --test-dir build -L chaos
 //
@@ -49,7 +49,13 @@ std::uint64_t env_or(const char* name, std::uint64_t fallback) {
   return value != nullptr ? std::strtoull(value, nullptr, 10) : fallback;
 }
 
-enum class Kind { kWordCount, kSort, kCc };
+enum class Kind { kWordCount, kSort, kCc, kSssp };
+
+/// The sssp chain's source vertex.
+const std::string& sssp_source() {
+  static const std::string source = workloads::vertex_name(0);
+  return source;
+}
 
 struct Workload {
   Kind kind;
@@ -111,6 +117,7 @@ std::string input_for(Kind kind) {
     case Kind::kSort:
       return sort_input();
     case Kind::kCc:
+    case Kind::kSssp:
       return graph_input();
   }
   return {};
@@ -159,6 +166,9 @@ mapred::KvVec reference_for(Kind kind, const std::string& input) {
       break;
     case Kind::kCc:
       out = workloads::cc_reference(input);
+      break;
+    case Kind::kSssp:
+      out = workloads::sssp_reference(input, sssp_source());
       break;
   }
   return out;
@@ -213,8 +223,10 @@ JobRun run_workload(const Workload& w, const std::string& input,
   tuning.partition_frame_bytes = 256;
   tuning.spill_threshold_bytes = 2048;
   tuning.compress_min_frame_bytes = 64;
-  if (w.kind == Kind::kCc) {
-    auto job = workloads::cc_job(input);
+  if (w.kind == Kind::kCc || w.kind == Kind::kSssp) {
+    auto job = w.kind == Kind::kCc
+                   ? workloads::cc_job(input)
+                   : workloads::sssp_job(input, sssp_source());
     job.tuning = std::move(tuning);
     auto result = mapred::JobChain(w.mappers).run_on_text(job, input);
     return {std::move(result.outputs), result.report};
@@ -286,7 +298,8 @@ INSTANTIATE_TEST_SUITE_P(
     Workloads, ChaosSweep,
     ::testing::Values(Workload{Kind::kWordCount, "wordcount", 3, 2},
                       Workload{Kind::kSort, "sort", 2, 3},
-                      Workload{Kind::kCc, "cc", 3, 3}),
+                      Workload{Kind::kCc, "cc", 3, 3},
+                      Workload{Kind::kSssp, "sssp", 3, 3}),
     [](const auto& info) { return std::string(info.param.name); });
 
 TEST_P(ChaosSweep, EveryPlanMatchesTheSerialReference) {

@@ -145,7 +145,6 @@ RunResult run_pipeline(const RuntimeShape& shape,
   setup.partitions = kPartitions;
   setup.frame_flush_bytes = shape.frame_flush_bytes;
   setup.partitioner = shuffle::Partitioner(kPartitions);
-  setup.combine = &combine;
   setup.compressor = compressor ? &*compressor : nullptr;
   setup.counters = &result.counters;
   setup.sink = [&result](std::uint32_t p, std::vector<std::byte> frame,

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "mpid/common/prng.hpp"
+#include "mpid/fault/fault.hpp"
 #include "mpid/mapred/job.hpp"
 
 namespace mpid::mapred {
@@ -344,6 +345,100 @@ TEST(RecordSources, VectorAndLineSourcesDrain) {
   EXPECT_EQ(*ls(), "l2");
   EXPECT_EQ(*ls(), "l3");
   EXPECT_FALSE(ls().has_value());
+}
+
+// --- text input by view -------------------------------------------------
+//
+// run_on_text maps LineReader views of the caller's text; run() over
+// line_source inputs maps owned copies of the same lines. The two must
+// agree record for record and output for output on every map path.
+
+std::vector<std::string> line_reader_records(std::string_view text) {
+  std::vector<std::string> out;
+  LineReader reader(text);
+  while (auto line = reader.next()) out.emplace_back(*line);
+  return out;
+}
+
+std::vector<std::string> line_source_records(std::string_view text) {
+  std::vector<std::string> out;
+  auto source = line_source(text);
+  while (auto line = source()) out.push_back(std::move(*line));
+  return out;
+}
+
+TEST(TextInput, LineReaderAndLineSourceYieldTheSameRecords) {
+  const std::vector<std::pair<std::string, std::vector<std::string>>> cases =
+      {{"", {}},
+       {"\n", {""}},
+       {"\n\n", {"", ""}},
+       {"a", {"a"}},
+       {"a\n", {"a"}},
+       {"a\n\nb", {"a", "", "b"}}};
+  for (const auto& [text, want] : cases) {
+    EXPECT_EQ(line_reader_records(text), want) << "text: \"" << text << '"';
+    EXPECT_EQ(line_source_records(text), want) << "text: \"" << text << '"';
+  }
+}
+
+/// One input per mapper, each a line_source over its split_text chunk:
+/// the inputs run_on_text would read, as owned records.
+std::vector<RecordSource> line_sources(std::string_view text, int mappers) {
+  std::vector<RecordSource> inputs;
+  for (const auto chunk : split_text(text, mappers)) {
+    inputs.push_back(line_source(chunk));
+  }
+  return inputs;
+}
+
+TEST(TextInput, RunOnTextEqualsRunOverLineSources) {
+  const std::string text = neighbour_corpus(/*seed=*/41, /*lines=*/400,
+                                            /*vocabulary=*/60);
+  constexpr int kMappers = 3;
+  constexpr int kReducers = 2;
+  const JobRunner runner(kMappers, kReducers);
+  const KvVec want = serial_reference(wordcount_job(), text);
+
+  struct Setup {
+    const char* name;
+    std::function<void(JobDef&)> apply;
+    bool restarts;  // the setup injects a map crash
+  };
+  const std::vector<Setup> setups = {
+      {"plain", [](JobDef&) {}, false},
+      {"map_threads=4", [](JobDef& job) { job.tuning.map_threads = 4; },
+       false},
+      {"resilient, map crash",
+       [](JobDef& job) {
+         fault::FaultPlan plan;
+         plan.seed = 5;
+         plan.scripted_crashes.push_back({fault::TaskKind::kMap, 1, 0, 40});
+         job.tuning.resilient_shuffle = true;
+         job.tuning.fault_injector =
+             std::make_shared<fault::FaultInjector>(plan);
+         job.tuning.spill_threshold_bytes = 2 * 1024;
+       },
+       true},
+      {"coded r=2", [](JobDef& job) { job.tuning.coded_replication = 2; },
+       false},
+  };
+  for (const auto& setup : setups) {
+    SCOPED_TRACE(setup.name);
+    // A fresh job per run: an injector fires its scripted crash once.
+    JobDef by_view = wordcount_job();
+    setup.apply(by_view);
+    JobDef by_copy = wordcount_job();
+    setup.apply(by_copy);
+    const auto viewed = runner.run_on_text(by_view, text);
+    const auto copied = runner.run(by_copy, line_sources(text, kMappers));
+    EXPECT_EQ(viewed.outputs, copied.outputs);
+    EXPECT_EQ(viewed.outputs, want);
+    EXPECT_EQ(viewed.report.totals.bytes_sent, copied.report.totals.bytes_sent);
+    if (setup.restarts) {
+      EXPECT_EQ(viewed.report.totals.task_restarts, 1u);
+      EXPECT_EQ(copied.report.totals.task_restarts, 1u);
+    }
+  }
 }
 
 }  // namespace

@@ -58,14 +58,12 @@ constexpr std::uint32_t kPartitions = 3;
 
 SpillEncoder::Setup setup_for(Layout layout, std::size_t flush_bytes,
                               CapturedFrames& captured,
-                              ShuffleCounters& counters,
-                              CombineRunner* combine = nullptr) {
+                              ShuffleCounters& counters) {
   SpillEncoder::Setup setup;
   setup.layout = layout;
   setup.partitions = kPartitions;
   setup.frame_flush_bytes = flush_bytes;
   setup.partitioner = Partitioner(kPartitions);
-  setup.combine = combine;
   setup.counters = &counters;
   setup.sink = captured.sink();
   return setup;
@@ -152,10 +150,13 @@ TEST(SpillEncoderTest, SpillTimeCombineCollapsesValueLists) {
       &counters);
   SpillEncoder encoder(
       opts, setup_for(Layout::kKvPair, SpillEncoder::kUnboundedFrame, captured,
-                      counters, &combine));
-  MapOutputBuffer buffer(opts, nullptr, &counters);
+                      counters));
+  // The buffer owns the runner: the spill combines its table in place
+  // before draining it.
+  MapOutputBuffer buffer(opts, &combine, &counters);
   for (int i = 0; i < 10; ++i) buffer.append("hot", "1");
   buffer.append("cold", "1");
+  const std::size_t footprint = buffer.bytes_used();
   encoder.spill(buffer);
   encoder.flush_all();
 
@@ -169,6 +170,10 @@ TEST(SpillEncoderTest, SpillTimeCombineCollapsesValueLists) {
   // Single-value keys skip the combiner call but still ship.
   EXPECT_EQ(by_key["cold"], (std::vector<std::string>{"1"}));
   EXPECT_EQ(counters.pairs_after_combine, 2u);
+  EXPECT_GT(counters.combine_ns, 0u);
+  // The peak is the footprint the map filled, read before the combine
+  // shrank it.
+  EXPECT_EQ(counters.table_bytes_peak, footprint);
 }
 
 TEST(SpillEncoderTest, SortKeysKeepsEveryFrameASingleSortedRun) {
