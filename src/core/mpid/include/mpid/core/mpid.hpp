@@ -141,14 +141,6 @@ class MpiD {
   /// mapper/spill); global grouping is the caller's job (see mapred).
   bool recv_group(std::string& key, std::vector<std::string>& values);
 
-  /// Zero-copy grouped variant: `key` and `values` are views into the
-  /// delivery frame, valid only until the next recv_* call on this
-  /// instance. The owning recv()/recv_group() overloads are thin
-  /// materializations of this path, so a caller that only inspects the
-  /// group (aggregate, count, forward) skips the per-pair string copies.
-  bool recv_group_views(std::string_view& key,
-                        std::vector<std::string_view>& values);
-
   /// Raw-frame variant: one realigned partition frame as a mapper built
   /// it (codec-decoded); false once every lane was delivered and drained.
   /// Feed the frames to SortedFrameMerger (merge.hpp) for Hadoop-style
@@ -468,12 +460,10 @@ class MpiD {
   std::uint64_t progress_ticks_ = 0;
 
   // Reducer state: one decoded frame at a time is reverse-realigned in
-  // place. recv_group_views() hands out views into delivery_frame_; the
-  // owning recv()/recv_group() materialize from the same views, so a pair
-  // costs one copy (wire -> caller string) instead of two (the old path
-  // staged every group in an owning Segment queue first). The reader and
-  // view alias delivery_frame_, which is released to the pool only once
-  // fully drained.
+  // place. recv()/recv_group() materialize from views into
+  // delivery_frame_, so a pair costs one copy (wire -> caller string).
+  // The reader and view alias delivery_frame_, which is released to the
+  // pool only once fully drained.
   /// Consumer side of the codec stage (engaged when compression is on):
   /// decodes wire frames into pool-recycled buffers.
   std::optional<shuffle::FrameDecoder> decoder_;

@@ -390,8 +390,8 @@ bool MpiD::recv_raw_frame(std::vector<std::byte>& frame) {
 
 bool MpiD::recv_group(std::string& key, std::vector<std::string>& values) {
   ensure_role(Role::kReducer, "recv_group");
-  // Hand back the undrained remainder of the current group (a recv() /
-  // recv_group_views() caller may have consumed a prefix of it).
+  // Hand back the undrained remainder of the current group (a recv()
+  // caller may have consumed a prefix of it).
   if (!(current_view_ &&
         current_value_index_ < current_view_->values.size())) {
     if (!next_group_view()) return false;
@@ -406,24 +406,6 @@ bool MpiD::recv_group(std::string& key, std::vector<std::string>& values) {
   stats_.pairs_received += values.size();
   current_view_.reset();
   current_value_index_ = 0;
-  return true;
-}
-
-bool MpiD::recv_group_views(std::string_view& key,
-                            std::vector<std::string_view>& values) {
-  ensure_role(Role::kReducer, "recv_group_views");
-  if (!(current_view_ &&
-        current_value_index_ < current_view_->values.size())) {
-    if (!next_group_view()) return false;
-  }
-  key = current_view_->key;
-  values.assign(current_view_->values.begin() +
-                    static_cast<std::ptrdiff_t>(current_value_index_),
-                current_view_->values.end());
-  stats_.pairs_received += values.size();
-  // Mark the group consumed but keep the frame alive: the views stay
-  // valid until the next recv_* call advances past it.
-  current_value_index_ = current_view_->values.size();
   return true;
 }
 

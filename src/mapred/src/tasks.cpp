@@ -132,10 +132,11 @@ void run_map_task(core::MpiD& mpid, const core::Config& config,
       }
       // Ticks count records across every chunk or sub-split, which may run
       // on the worker pool, so a scripted crash fires at the same overall
-      // progress point whatever the thread count.
+      // progress point whatever the thread count, and on exactly one
+      // worker.
       std::atomic<std::uint64_t> ticks{carried};
       const std::function<void()> tick = [&] {
-        if (crash_at && ticks.fetch_add(1) + 1 >= *crash_at) {
+        if (crash_at && ticks.fetch_add(1) + 1 == *crash_at) {
           inj->note(fault::Kind::kTaskCrash, "map:" + std::to_string(mapper) +
                                                  "#" + std::to_string(attempt));
           throw fault::TaskCrash(fault::TaskKind::kMap, mapper, attempt);
@@ -148,10 +149,9 @@ void run_map_task(core::MpiD& mpid, const core::Config& config,
               part_range(count, r, static_cast<std::size_t>(sub));
           task.map_range(lo, hi, emit, tick);
         });
-      } else if (inj == nullptr && config.map_threads > 1) {
+      } else if (config.map_threads > 1) {
         // The chunk count is fixed, never a function of the thread count,
         // so the shipped bytes are identical at every map_threads.
-        // Injected crashes keep the sequential path (DESIGN.md §12).
         const std::size_t chunks = shuffle::resolve_map_chunks(count);
         mpid.run_map_parallel(chunks, [&](std::size_t chunk, const Emit& emit) {
           const auto [lo, hi] = part_range(count, chunks, chunk);

@@ -60,8 +60,6 @@ struct MiniJobConfig : shuffle::ShuffleOptions {
   std::string output_prefix = "/out";
   int map_tasks = 4;
   int reduce_tasks = 2;
-  /// Present keys to reduce() in sorted order (Hadoop semantics).
-  bool sorted_reduce = true;
 
   // --- fault tolerance (all Hadoop 0.20 analogs) ---
 

@@ -80,8 +80,8 @@ struct SegmentStore {
   store::Reservation reservation;  // in-memory segment bytes vs the budget
   std::string spill_dir;
 
-  // Node-aggregation serving state (set once before the job starts; each
-  // tasktracker models one NODE here, so ranks_per_node is ignored).
+  // Serving state, set once before the job starts. With node aggregation
+  // each tasktracker models one NODE, so ranks_per_node is ignored.
   const shuffle::ShuffleOptions* opts = nullptr;
   shuffle::Combiner combiner;
   store::MemoryBudget* budget = nullptr;
@@ -149,40 +149,15 @@ struct SegmentStore {
     return body;
   }
 
+  /// Serves "reduce=<r>&maps=<m1,m2,...>". Without node aggregation the
+  /// query names one map and the reply is its raw segment. With it
+  /// (DESIGN.md §14) the named co-located segments are merged
+  /// ascending-map-id through a NodeAggregator into ONE KvPair frame for
+  /// `reduce`, codec-framed once per the job's compression policy, and
+  /// the merge accounting rides the X-Mpid-Agg-* headers. A missing
+  /// segment throws (→ HTTP 500): the reducer's location map is stale,
+  /// it backs off and re-resolves.
   hrpc::HttpResponse get(std::string_view query) {
-    if (query.rfind("agg=1&", 0) == 0) return get_aggregated(query);
-    // query: "map=<m>&reduce=<r>"
-    int map = -1, reduce = -1;
-    std::size_t pos = 0;
-    while (pos < query.size()) {
-      auto amp = query.find('&', pos);
-      if (amp == std::string_view::npos) amp = query.size();
-      const auto kv = query.substr(pos, amp - pos);
-      const auto eq = kv.find('=');
-      const auto key = kv.substr(0, eq);
-      const int value = std::stoi(std::string(kv.substr(eq + 1)));
-      if (key == "map") map = value;
-      if (key == "reduce") reduce = value;
-      pos = amp + 1;
-    }
-    std::lock_guard lock(mu);
-    const auto it = segments.find({map, reduce});
-    if (it == segments.end()) {
-      throw std::runtime_error("no such map output segment");
-    }
-    hrpc::HttpResponse response;
-    response.body = read_body(it->second);
-    if (it->second.codec) response.headers.emplace_back(kCodecHeader, "1");
-    return response;
-  }
-
-  /// Hierarchical serving (DESIGN.md §14): the named co-located map
-  /// segments, merged ascending-map-id through a NodeAggregator into ONE
-  /// KvPair frame for `reduce`, codec-framed once per the job's
-  /// compression policy. A missing segment throws (→ HTTP 500): the
-  /// reducer's location map is stale, it backs off and re-resolves.
-  hrpc::HttpResponse get_aggregated(std::string_view query) {
-    // query: "agg=1&reduce=<r>&maps=<m1,m2,...>"
     int reduce = -1;
     std::string maps_csv;
     std::size_t pos = 0;
@@ -204,20 +179,29 @@ struct SegmentStore {
       maps.push_back(std::stoi(maps_csv.substr(pos, comma - pos)));
       pos = comma + 1;
     }
-    if (reduce < 0 || maps.empty() || opts == nullptr) {
-      throw std::runtime_error("aggregated fetch: bad query");
+    if (reduce < 0 || maps.empty() ||
+        (!opts->node_aggregation && maps.size() != 1)) {
+      throw std::runtime_error("map output fetch: bad query");
     }
     std::lock_guard lock(mu);
+    std::vector<const Segment*> members;
+    for (const int m : maps) {
+      const auto it = segments.find({m, reduce});
+      if (it == segments.end()) {
+        throw std::runtime_error("no such map output segment");
+      }
+      members.push_back(&it->second);
+    }
+    hrpc::HttpResponse response;
+    if (!opts->node_aggregation) {
+      response.body = read_body(*members.front());
+      if (members.front()->codec) {
+        response.headers.emplace_back(kCodecHeader, "1");
+      }
+      return response;
+    }
     auto cached = agg_cache.find({reduce, maps_csv});
     if (cached == agg_cache.end()) {
-      std::vector<const Segment*> members;
-      for (const int m : maps) {
-        const auto it = segments.find({m, reduce});
-        if (it == segments.end()) {
-          throw std::runtime_error("no such map output segment");
-        }
-        members.push_back(&it->second);
-      }
       AggEntry entry;
       shuffle::CombineRunner combine(combiner, &entry.counters);
       std::optional<shuffle::FrameCompressor> codec;
@@ -252,7 +236,6 @@ struct SegmentStore {
                    .first;
     }
     const AggEntry& entry = cached->second;
-    hrpc::HttpResponse response;
     response.body = entry.body;
     if (entry.codec) response.headers.emplace_back(kCodecHeader, "1");
     const auto put_header = [&response](const char* name, std::uint64_t v) {
@@ -440,35 +423,45 @@ JobSummary MiniCluster::run_internal(const MiniJobConfig& config,
   std::exception_ptr first_error;
   std::mutex error_mu;
 
-  struct MapOutcome {
+  // One map attempt. The split's lines run through a ParallelMapper in the
+  // KvPair / unbounded-frame shape: at map_threads = 1 the split is one
+  // chunk on a pool of one, run inline (a task-long spill cadence);
+  // otherwise it is resolve_map_chunks() chunks. Every chunk contributes
+  // at most one raw segment per partition, concatenated in chunk order,
+  // and the assembled segment is codec-framed once at task end, so each
+  // partition ships one frame and the servlet omits the codec header for
+  // a frame the codec skipped, like Hadoop. Returns this attempt's
+  // dataflow counters; the caller folds them into the job counters only
+  // if the jobtracker commits the attempt.
+  auto run_map_task = [&](int tracker_id, int map_id,
+                          int attempt) -> shuffle::ShuffleCounters {
+    std::optional<std::uint64_t> crash_at;
+    if (inj) {
+      const auto lag =
+          inj->straggle_delay(fault::TaskKind::kMap, map_id, attempt);
+      if (lag.count() > 0) std::this_thread::sleep_for(lag);
+      crash_at = inj->crash_tick(fault::TaskKind::kMap, map_id, attempt);
+    }
     shuffle::ShuffleCounters counters;
-  };
-
-  // Hybrid threaded map attempt (MiniJobConfig::map_threads > 1; fault
-  // injection keeps the sequential path so crash ticks stay
-  // deterministic). The split's line chunks run through a ParallelMapper
-  // in the KvPair / unbounded-frame shape: every chunk contributes at
-  // most one raw segment per partition, concatenated in chunk order, and
-  // the assembled segment is codec-framed once at task end — preserving
-  // the one-frame-per-partition wire shape (and X-Mpid-Codec header
-  // semantics) the shuffle servlet has always served.
-  auto run_map_task_threaded = [&](int tracker_id, int map_id) -> MapOutcome {
-    MapOutcome outcome;
     const auto partitions = static_cast<std::size_t>(config.reduce_tasks);
     std::vector<std::string> bodies(partitions);
     std::vector<char> codec_flags(partitions, 0);
 
     // Lanes never compress: a per-chunk codec frame would break the
     // single-frame segment decode. The whole segment is encoded below.
+    // Lanes charge the job's budget, so a refused charge latches
+    // should_spill() and drains the lane early; the assembled segment is
+    // what SegmentStore pushes to disk if the budget refuses it too.
     shuffle::ShuffleOptions lane_opts = opts;
     lane_opts.shuffle_compression = shuffle::ShuffleCompression::kOff;
+    lane_opts.memory_budget = budget;
 
     shuffle::ParallelMapper::Setup setup;
     setup.layout = shuffle::Layout::kKvPair;
     setup.partitions = static_cast<std::uint32_t>(config.reduce_tasks);
     setup.frame_flush_bytes = shuffle::SpillEncoder::kUnboundedFrame;
     setup.combiner = config.combiner;
-    setup.counters = &outcome.counters;
+    setup.counters = &counters;
     setup.sink = [&bodies](std::uint32_t r, std::vector<std::byte> frame,
                            bool /*codec_framed: raw by construction*/) {
       bodies[r].append(reinterpret_cast<const char*>(frame.data()),
@@ -478,25 +471,35 @@ JobSummary MiniCluster::run_internal(const MiniJobConfig& config,
 
     const auto chunk_views = mapred::split_text(
         splits[static_cast<std::size_t>(map_id)],
-        static_cast<int>(shuffle::resolve_map_chunks(
-            std::numeric_limits<std::size_t>::max())));
+        opts.map_threads == 1
+            ? 1
+            : static_cast<int>(shuffle::resolve_map_chunks(
+                  std::numeric_limits<std::size_t>::max())));
+    // Ticks count lines across every chunk, so a scripted crash fires at
+    // the same overall progress point whatever the thread count, and on
+    // exactly one worker.
+    std::atomic<std::uint64_t> ticks{0};
     shuffle::WorkerPool pool(opts.map_threads);
     mapper.run(pool, chunk_views.size(),
                [&](std::size_t chunk,
                    const shuffle::ParallelMapper::EmitFn& emit) {
-                 mapred::MapContext ctx(
-                     [&emit](std::string_view k, std::string_view v) {
-                       emit(k, v);
-                     },
-                     map_id);
+                 mapred::MapContext ctx(emit, map_id);
                  mapred::LineReader lines(chunk_views[chunk]);
-                 while (auto line = lines.next()) config.map(*line, ctx);
+                 while (auto line = lines.next()) {
+                   if (crash_at && ticks.fetch_add(1) + 1 == *crash_at) {
+                     inj->note(fault::Kind::kTaskCrash,
+                               task_subject(kKindMap, map_id, attempt));
+                     throw fault::TaskCrash(fault::TaskKind::kMap, map_id,
+                                            attempt);
+                   }
+                   config.map(*line, ctx);
+                 }
                });
 
     if (map_compress) {
       shuffle::FrameCompressor codec(opts, shuffle::WireFraming::kFlagged,
                                      common::FrameKind::kKvPair, nullptr,
-                                     &outcome.counters);
+                                     &counters);
       for (std::size_t r = 0; r < partitions; ++r) {
         if (bodies[r].empty()) continue;
         const auto* data =
@@ -514,93 +517,9 @@ JobSummary MiniCluster::run_internal(const MiniJobConfig& config,
       // Empty partitions keep their default ("", unflagged) segment.
       stores[static_cast<std::size_t>(tracker_id)]->put(
           map_id, r, std::move(bodies[static_cast<std::size_t>(r)]),
-          codec_flags[static_cast<std::size_t>(r)] != 0, &outcome.counters);
+          codec_flags[static_cast<std::size_t>(r)] != 0, &counters);
     }
-    return outcome;
-  };
-
-  // Returns this attempt's dataflow counters; the caller folds them into
-  // the job counters only if the jobtracker commits the attempt.
-  auto run_map_task = [&](int tracker_id, int map_id,
-                          int attempt) -> MapOutcome {
-    if (opts.map_threads > 1 && !inj) {
-      return run_map_task_threaded(tracker_id, map_id);
-    }
-    if (inj) {
-      const auto lag =
-          inj->straggle_delay(fault::TaskKind::kMap, map_id, attempt);
-      if (lag.count() > 0) std::this_thread::sleep_for(lag);
-    }
-    const auto crash_at =
-        inj ? inj->crash_tick(fault::TaskKind::kMap, map_id, attempt)
-            : std::nullopt;
-    // The per-attempt shuffle pipeline (src/shuffle): map output buffer →
-    // combiner → hash partition / realignment → optional codec. The
-    // unbounded frame threshold accumulates one KvPair segment per reduce
-    // partition; the sink publishes the segments to this tracker's store.
-    // With compression on, skipped frames ship raw and unflagged (kFlagged
-    // framing) — the servlet then omits the codec header, like Hadoop.
-    MapOutcome outcome;
-    shuffle::CombineRunner combine(config.combiner, &outcome.counters);
-    // Budget pressure tightens the spill cadence: a refused charge latches
-    // should_spill(), the ctx below drains to the encoder early, and the
-    // assembled segment is what SegmentStore pushes to disk if the budget
-    // refuses it too.
-    shuffle::MapOutputBuffer buffer(opts, &combine, &outcome.counters,
-                                    budget.get());
-    std::optional<shuffle::FrameCompressor> compressor;
-    if (map_compress) {
-      compressor.emplace(opts, shuffle::WireFraming::kFlagged,
-                         common::FrameKind::kKvPair, nullptr,
-                         &outcome.counters);
-    }
-    std::vector<std::string> bodies(
-        static_cast<std::size_t>(config.reduce_tasks));
-    std::vector<char> codec_flags(static_cast<std::size_t>(config.reduce_tasks),
-                                  0);
-    shuffle::SpillEncoder::Setup setup;
-    setup.layout = shuffle::Layout::kKvPair;
-    setup.partitions = static_cast<std::uint32_t>(config.reduce_tasks);
-    setup.frame_flush_bytes = shuffle::SpillEncoder::kUnboundedFrame;
-    setup.partitioner =
-        shuffle::Partitioner(static_cast<std::uint32_t>(config.reduce_tasks));
-    setup.compressor = compressor ? &*compressor : nullptr;
-    setup.counters = &outcome.counters;
-    setup.sink = [&bodies, &codec_flags](std::uint32_t r,
-                                         std::vector<std::byte> frame,
-                                         bool codec_framed) {
-      bodies[r].assign(reinterpret_cast<const char*>(frame.data()),
-                       frame.size());
-      codec_flags[r] = codec_framed ? 1 : 0;
-    };
-    shuffle::SpillEncoder encoder(opts, setup);
-
-    mapred::MapContext ctx(
-        [&](std::string_view k, std::string_view v) {
-          buffer.append(k, v);
-          if (buffer.should_spill()) encoder.spill(buffer);
-        },
-        map_id);
-    mapred::LineReader lines(splits[static_cast<std::size_t>(map_id)]);
-    std::uint64_t ticks = 0;
-    while (auto line = lines.next()) {
-      if (crash_at && ++ticks >= *crash_at) {
-        inj->note(fault::Kind::kTaskCrash,
-                  task_subject(kKindMap, map_id, attempt));
-        throw fault::TaskCrash(fault::TaskKind::kMap, map_id, attempt);
-      }
-      config.map(*line, ctx);
-    }
-    encoder.spill(buffer);
-    encoder.flush_all();
-
-    for (int r = 0; r < config.reduce_tasks; ++r) {
-      // Empty partitions keep their default ("", unflagged) segment.
-      stores[static_cast<std::size_t>(tracker_id)]->put(
-          map_id, r, std::move(bodies[static_cast<std::size_t>(r)]),
-          codec_flags[static_cast<std::size_t>(r)] != 0, &outcome.counters);
-    }
-    return outcome;
+    return counters;
   };
 
   auto fetch_locations = [&](hrpc::RpcClient& rpc) {
@@ -637,30 +556,24 @@ JobSummary MiniCluster::run_internal(const MiniJobConfig& config,
     hrpc::HttpClientOptions copier_options;
     copier_options.read_timeout = config.fetch_read_timeout;
 
-    // Locate every map's serving tasktracker, then fetch segments by HTTP.
-    // A failed fetch (injected, transport error, or non-200) backs off,
-    // re-resolves locations — the segment may have been re-executed on
-    // another tracker — and retries; exhausting the budget fails the
-    // attempt (Hadoop's "too many fetch failures" kills the reducer).
     auto location = fetch_locations(rpc);
     std::map<int, std::unique_ptr<hrpc::HttpClient>> copiers;
     ReduceOutcome outcome;
     // Reducer-side grouping reuses the shuffle engine's buffer stage; no
     // combiner, no spill — the groups are only iterated at reduce time.
     //
-    // Under a memory budget with sorted_reduce, grouping goes through the
-    // two-tier store instead: each fetched segment is stably sorted into
-    // one key-sorted KvList frame and fed to a budget-armed SegmentMerger,
-    // which spills sorted runs to spill_dir when the arbiter refuses a
-    // frame and external-merges them back at reduce time. Equal keys
-    // concatenate in frame-arrival (= fetch) order, in-segment order
-    // within a frame — exactly the value order the hash path produces for
-    // sorted_reduce — so the reduce output is byte-identical either way.
-    // (Peak memory: the budget, plus one in-flight segment.)
-    const bool ext_merge = budgeted && config.sorted_reduce;
+    // Under a memory budget, grouping goes through the two-tier store
+    // instead: each fetched segment is stably sorted into one key-sorted
+    // KvList frame and fed to a budget-armed SegmentMerger, which spills
+    // sorted runs to spill_dir when the arbiter refuses a frame and
+    // external-merges them back at reduce time. Equal keys concatenate in
+    // frame-arrival (= fetch) order, in-segment order within a frame —
+    // exactly the value order the sorted hash path produces — so the
+    // reduce output is byte-identical either way. (Peak memory: the
+    // budget, plus one in-flight segment.)
     shuffle::MapOutputBuffer groups(opts, nullptr, &outcome.counters);
     shuffle::SegmentMerger merger;
-    if (ext_merge) {
+    if (budgeted) {
       merger.enable_spill(opts, budget.get(), &outcome.counters);
     }
     shuffle::FrameDecoder decoder(0, nullptr, &outcome.counters);
@@ -680,7 +593,7 @@ JobSummary MiniCluster::run_internal(const MiniJobConfig& config,
     // or the budget-armed external merger.
     auto ingest_segment = [&](std::string_view segment) {
       common::KvReader reader(as_bytes(segment));
-      if (ext_merge) {
+      if (budgeted) {
         std::vector<std::pair<std::string, std::string>> pairs;
         while (auto pair = reader.next()) {
           pairs.emplace_back(std::string(pair->key),
@@ -712,163 +625,101 @@ JobSummary MiniCluster::run_internal(const MiniJobConfig& config,
       }
     };
 
-    if (opts.node_aggregation) {
-      // Hierarchical fetch (DESIGN.md §14): every tasktracker IS a node
-      // here, so the maps are grouped by serving tracker and fetched as
-      // ONE aggregated stream per tracker — the servlet merges the
-      // co-located segments through the node combine tree. Locations are
-      // final before any reduce is scheduled (the jobtracker gates
-      // reduces on all maps committing), so the grouping is stable
-      // unless a tracker is lost mid-fetch — then the retry path
-      // re-resolves and regroups around the re-executed maps.
-      std::vector<char> done(static_cast<std::size_t>(config.map_tasks), 0);
-      int remaining = config.map_tasks;
-      int try_no = 0;
-      while (remaining > 0) {
-        int first = 0;
-        while (done[static_cast<std::size_t>(first)] != 0) ++first;
-        const int serving = location[static_cast<std::size_t>(first)];
-        std::vector<int> group;
-        std::string maps_csv;
-        if (serving >= 0) {
-          for (int m = first; m < config.map_tasks; ++m) {
-            if (done[static_cast<std::size_t>(m)] == 0 &&
-                location[static_cast<std::size_t>(m)] == serving) {
-              group.push_back(m);
-              if (!maps_csv.empty()) maps_csv += ',';
-              maps_csv += std::to_string(m);
-            }
+    // Fetch by HTTP, one GET per group of maps served by one tasktracker:
+    // the lowest unfetched map alone or, with node aggregation (DESIGN.md
+    // §14, where every tasktracker IS a node), every unfetched map on its
+    // tracker, merged by the servlet through the node combine tree. A
+    // failed fetch (injected, transport error, or non-200) backs off,
+    // re-resolves locations — a map may have been re-executed on another
+    // tracker, which regroups the maps — and retries; exhausting the
+    // budget fails the attempt (Hadoop's "too many fetch failures" kills
+    // the reducer).
+    std::vector<char> fetched(static_cast<std::size_t>(config.map_tasks), 0);
+    int first = 0;  // the lowest unfetched map
+    int try_no = 0;
+    while (first < config.map_tasks) {
+      const int serving = location[static_cast<std::size_t>(first)];
+      std::vector<int> group{first};
+      std::string maps_csv = std::to_string(first);
+      if (opts.node_aggregation && serving >= 0) {
+        for (int m = first + 1; m < config.map_tasks; ++m) {
+          if (fetched[static_cast<std::size_t>(m)] == 0 &&
+              location[static_cast<std::size_t>(m)] == serving) {
+            group.push_back(m);
+            maps_csv += ',' + std::to_string(m);
           }
         }
-        bool fetched = false;
-        if (serving >= 0 && !(inj && inj->fail_fetch(first, reduce_id))) {
-          auto& copier = copiers[serving];
-          if (!copier) {
-            copier = std::make_unique<hrpc::HttpClient>(
-                *http_servers[static_cast<std::size_t>(serving)],
-                copier_options);
-          }
-          try {
-            auto response = copier->get(
-                "/mapOutput?agg=1&reduce=" + std::to_string(reduce_id) +
-                "&maps=" + maps_csv);
-            if (response.status == 200) {
-              ++outcome.requests;
-              outcome.bytes += response.body.size();
-              const auto hdr = [&response](const char* name) {
-                const auto* v = response.header(name);
-                return v ? std::stoull(*v) : std::uint64_t{0};
-              };
-              auto& c = outcome.counters;
-              c.bytes_pre_node_agg += hdr(kAggPreHeader);
-              c.bytes_post_node_agg += hdr(kAggPostHeader);
-              c.node_agg_merge_ns += hdr(kAggMergeNsHeader);
-              c.shuffle_bytes_raw += hdr(kAggRawHeader);
-              c.shuffle_bytes_wire += hdr(kAggWireHeader);
-              c.compress_ns += hdr(kAggCompressNsHeader);
-              std::string segment = std::move(response.body);
-              decode_segment(segment,
-                             response.header(kCodecHeader) != nullptr);
-              ingest_segment(segment);
-              for (const int m : group) {
-                done[static_cast<std::size_t>(m)] = 1;
-              }
-              remaining -= static_cast<int>(group.size());
-              fetched = true;
-              try_no = 0;
-            }
-          } catch (const std::exception&) {
-            copiers.erase(serving);  // reconnect on the next try
-          }
-        }
-        if (fetched && ++ticks >= crash_at) {
-          inj->note(fault::Kind::kTaskCrash,
-                    task_subject(kKindReduce, reduce_id, attempt));
-          throw fault::TaskCrash(fault::TaskKind::kReduce, reduce_id,
-                                 attempt);
-        }
-        if (fetched) continue;
-        if (try_no + 1 >= config.max_fetch_attempts) {
-          throw fault::TaskCrash(fault::TaskKind::kReduce, reduce_id,
-                                 attempt);
-        }
-        ++shuffle_fetch_retries;
-        if (inj) {
-          inj->record_recovery(fault::Kind::kFetchRetry,
-                               "aggregated segments " + maps_csv + "->" +
-                                   std::to_string(reduce_id),
-                               "try " + std::to_string(try_no + 1));
-        }
-        const auto backoff =
-            config.fetch_backoff * (1LL << std::min(try_no, 10));
-        if (backoff.count() > 0) {
-          std::this_thread::sleep_for(backoff);
-          recovery_wall_ns += static_cast<std::uint64_t>(backoff.count());
-        }
-        location = fetch_locations(rpc);
-        ++try_no;
       }
-    } else {
-      for (int m = 0; m < config.map_tasks; ++m) {
-        std::string segment;
-        bool segment_codec = false;
-        for (int try_no = 0;; ++try_no) {
-          const int serving = location[static_cast<std::size_t>(m)];
-          bool fetched = false;
-          if (serving >= 0 && !(inj && inj->fail_fetch(m, reduce_id))) {
-            auto& copier = copiers[serving];
-            if (!copier) {
-              copier = std::make_unique<hrpc::HttpClient>(
-                  *http_servers[static_cast<std::size_t>(serving)],
-                  copier_options);
-            }
-            try {
-              auto response =
-                  copier->get("/mapOutput?map=" + std::to_string(m) +
-                              "&reduce=" + std::to_string(reduce_id));
-              if (response.status == 200) {
-                segment_codec = response.header(kCodecHeader) != nullptr;
-                segment = std::move(response.body);
-                ++outcome.requests;
-                fetched = true;
-              }
-            } catch (const std::exception&) {
-              copiers.erase(serving);  // reconnect on the next try
-            }
-          }
-          if (fetched) break;
-          if (try_no + 1 >= config.max_fetch_attempts) {
-            throw fault::TaskCrash(fault::TaskKind::kReduce, reduce_id,
-                                   attempt);
-          }
-          ++shuffle_fetch_retries;
-          if (inj) {
-            inj->record_recovery(fault::Kind::kFetchRetry,
-                                 "segment " + std::to_string(m) + "->" +
-                                     std::to_string(reduce_id),
-                                 "try " + std::to_string(try_no + 1));
-          }
-          const auto backoff =
-              config.fetch_backoff * (1LL << std::min(try_no, 10));
-          if (backoff.count() > 0) {
-            std::this_thread::sleep_for(backoff);
-            recovery_wall_ns += static_cast<std::uint64_t>(backoff.count());
-          }
-          location = fetch_locations(rpc);
+      std::optional<hrpc::HttpResponse> response;
+      if (serving >= 0 && !(inj && inj->fail_fetch(first, reduce_id))) {
+        auto& copier = copiers[serving];
+        if (!copier) {
+          copier = std::make_unique<hrpc::HttpClient>(
+              *http_servers[static_cast<std::size_t>(serving)],
+              copier_options);
         }
+        try {
+          auto reply = copier->get("/mapOutput?reduce=" +
+                                   std::to_string(reduce_id) +
+                                   "&maps=" + maps_csv);
+          if (reply.status == 200) response = std::move(reply);
+        } catch (const std::exception&) {
+          copiers.erase(serving);  // reconnect on the next try
+        }
+      }
+      if (response) {
+        ++outcome.requests;
+        outcome.bytes += response->body.size();
+        // Node-aggregation accounting; raw segments carry no such headers.
+        const auto hdr = [&response](const char* name) {
+          const auto* v = response->header(name);
+          return v ? std::stoull(*v) : std::uint64_t{0};
+        };
+        auto& c = outcome.counters;
+        c.bytes_pre_node_agg += hdr(kAggPreHeader);
+        c.bytes_post_node_agg += hdr(kAggPostHeader);
+        c.node_agg_merge_ns += hdr(kAggMergeNsHeader);
+        c.shuffle_bytes_raw += hdr(kAggRawHeader);
+        c.shuffle_bytes_wire += hdr(kAggWireHeader);
+        c.compress_ns += hdr(kAggCompressNsHeader);
         if (++ticks >= crash_at) {
           inj->note(fault::Kind::kTaskCrash,
                     task_subject(kKindReduce, reduce_id, attempt));
-          throw fault::TaskCrash(fault::TaskKind::kReduce, reduce_id, attempt);
+          throw fault::TaskCrash(fault::TaskKind::kReduce, reduce_id,
+                                 attempt);
         }
-        outcome.bytes += segment.size();
-        decode_segment(segment, segment_codec);
-        ingest_segment(segment);
+        decode_segment(response->body,
+                       response->header(kCodecHeader) != nullptr);
+        ingest_segment(response->body);
+        for (const int m : group) fetched[static_cast<std::size_t>(m)] = 1;
+        while (first < config.map_tasks &&
+               fetched[static_cast<std::size_t>(first)] != 0) {
+          ++first;
+        }
+        try_no = 0;
+        continue;
       }
+      if (try_no + 1 >= config.max_fetch_attempts) {
+        throw fault::TaskCrash(fault::TaskKind::kReduce, reduce_id, attempt);
+      }
+      ++shuffle_fetch_retries;
+      if (inj) {
+        inj->record_recovery(fault::Kind::kFetchRetry,
+                             "segment " + maps_csv + "->" +
+                                 std::to_string(reduce_id),
+                             "try " + std::to_string(try_no + 1));
+      }
+      const auto backoff = config.fetch_backoff * (1LL << std::min(try_no, 10));
+      if (backoff.count() > 0) {
+        std::this_thread::sleep_for(backoff);
+        recovery_wall_ns += static_cast<std::uint64_t>(backoff.count());
+      }
+      location = fetch_locations(rpc);
+      ++try_no;
     }
 
     mapred::ReduceContext ctx(reduce_id);
-    if (ext_merge) {
+    if (budgeted) {
       std::string key;
       std::vector<std::string> values;
       while (merger.next_group(key, values)) {
@@ -876,7 +727,7 @@ JobSummary MiniCluster::run_internal(const MiniJobConfig& config,
       }
     } else {
       groups.for_each_group(
-          config.sorted_reduce,
+          /*sorted=*/true,
           [&](std::string_view key, const std::vector<std::string>& values) {
             config.reduce(key, values, ctx);
           });
@@ -930,7 +781,7 @@ JobSummary MiniCluster::run_internal(const MiniJobConfig& config,
         const auto t0 = Clock::now();
         try {
           if (op == kOpMap) {
-            const auto outcome = run_map_task(tracker_id, task, attempt);
+            const auto counters = run_map_task(tracker_id, task, attempt);
             hrpc::DataOut done;
             done.write_i32(task);
             done.write_i32(attempt);
@@ -938,9 +789,9 @@ JobSummary MiniCluster::run_internal(const MiniJobConfig& config,
             const auto ack =
                 rpc.call(kProtocol, kVersion, "mapCompleted", done.buffer());
             if (hrpc::DataIn(ack).read_u8() != 0) {
-              map_output_pairs += outcome.counters.pairs_after_combine;
+              map_output_pairs += counters.pairs_after_combine;
               std::lock_guard lock(counters_mu);
-              job_counters.merge(outcome.counters);
+              job_counters.merge(counters);
             }
           } else {
             auto outcome = run_reduce_task(rpc, task, attempt);
@@ -1117,7 +968,6 @@ ChainSummary MiniCluster::run_chain(const MiniChainConfig& config) {
 
     MiniJobConfig jc = static_cast<const MiniJobConfig&>(config);
     jc.combiner = {};
-    jc.sorted_reduce = true;  // resident bodies must not depend on hash order
     jc.output_prefix =
         config.output_prefix + "/.round-" + std::to_string(round);
 

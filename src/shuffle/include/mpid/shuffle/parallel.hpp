@@ -115,7 +115,9 @@ class ParallelMapper {
 
   /// One worker's private pipeline. Heap-allocated so lane addresses are
   /// stable and fields needing construction order (combine before buffer
-  /// before encoder) initialize in one place.
+  /// before encoder) initialize in one place. The buffer charges
+  /// options.memory_budget (nullable), so budget pressure spills lanes
+  /// early exactly as it does a single-threaded map buffer.
   struct Lane {
     Lane(const ShuffleOptions& options, const Setup& setup);
 

@@ -20,7 +20,7 @@ std::size_t resolve_map_chunks(std::size_t items) {
 
 ParallelMapper::Lane::Lane(const ShuffleOptions& options, const Setup& setup)
     : combine(setup.combiner, &counters),
-      buffer(options, &combine, &counters),
+      buffer(options, &combine, &counters, options.memory_budget.get()),
       encoder(options,
               SpillEncoder::Setup{
                   setup.layout,

@@ -10,7 +10,8 @@
 // that fired must have been recovered by exactly one restart.
 //
 // Tier-1 runs plans [0, 3000) of each workload, about 15 s of wall time
-// (35 s of CPU) on a 4-vCPU Xeon VM. A longer slice:
+// (35 s of CPU) on a 4-vCPU Xeon VM, and ThreadedChaosSweep runs plans
+// [0, 500) of wordcount and cc with map_threads = 4. A longer slice:
 //
 //   MPID_CHAOS_PLANS=20000 ctest --test-dir build -L chaos
 //
@@ -43,6 +44,7 @@ namespace mpid {
 namespace {
 
 constexpr std::uint64_t kTier1Plans = 3000;
+constexpr std::uint64_t kTier1ThreadedPlans = 500;
 
 std::uint64_t env_or(const char* name, std::uint64_t fallback) {
   const char* value = std::getenv(name);
@@ -292,22 +294,17 @@ std::string describe(std::uint64_t index, const fault::FaultPlan& plan,
   return os.str();
 }
 
-class ChaosSweep : public ::testing::TestWithParam<Workload> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    Workloads, ChaosSweep,
-    ::testing::Values(Workload{Kind::kWordCount, "wordcount", 3, 2},
-                      Workload{Kind::kSort, "sort", 2, 3},
-                      Workload{Kind::kCc, "cc", 3, 3},
-                      Workload{Kind::kSssp, "sssp", 3, 3}),
-    [](const auto& info) { return std::string(info.param.name); });
-
-TEST_P(ChaosSweep, EveryPlanMatchesTheSerialReference) {
-  const Workload& w = GetParam();
+/// Runs plans [MPID_CHAOS_FIRST, + MPID_CHAOS_PLANS) of workload `w` at
+/// `map_threads`, `default_plans` of them unless the environment says
+/// otherwise.
+void sweep(const Workload& w, std::size_t map_threads,
+           std::uint64_t default_plans) {
   const std::string input = input_for(w.kind);
   const mapred::KvVec reference = reference_for(w.kind, input);
 
-  const JobRun clean = run_workload(w, input, core::Config{});
+  core::Config base;
+  base.map_threads = map_threads;
+  const JobRun clean = run_workload(w, input, base);
   ASSERT_EQ(clean.outputs, reference);
   const core::Stats& t = clean.report.totals;
   Span span;
@@ -320,13 +317,13 @@ TEST_P(ChaosSweep, EveryPlanMatchesTheSerialReference) {
       t.frames_received / static_cast<std::uint64_t>(w.reducers) + 1;
 
   const std::uint64_t first = env_or("MPID_CHAOS_FIRST", 0);
-  const std::uint64_t plans = env_or("MPID_CHAOS_PLANS", kTier1Plans);
+  const std::uint64_t plans = env_or("MPID_CHAOS_PLANS", default_plans);
   for (std::uint64_t index = first; index < first + plans; ++index) {
     core::ShuffleCompression compression{};
     const fault::FaultPlan plan = draw_plan(w, index, span, compression);
     SCOPED_TRACE(describe(index, plan, compression));
     auto inj = std::make_shared<fault::FaultInjector>(plan);
-    core::Config tuning;
+    core::Config tuning = base;
     tuning.shuffle_compression = compression;
     tuning.fault_injector = inj;
     const JobRun faulted = run_workload(w, input, tuning);
@@ -334,6 +331,35 @@ TEST_P(ChaosSweep, EveryPlanMatchesTheSerialReference) {
     EXPECT_EQ(faulted.report.totals.task_restarts,
               inj->log().count(fault::Kind::kTaskCrash));
   }
+}
+
+class ChaosSweep : public ::testing::TestWithParam<Workload> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, ChaosSweep,
+    ::testing::Values(Workload{Kind::kWordCount, "wordcount", 3, 2},
+                      Workload{Kind::kSort, "sort", 2, 3},
+                      Workload{Kind::kCc, "cc", 3, 3},
+                      Workload{Kind::kSssp, "sssp", 3, 3}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+TEST_P(ChaosSweep, EveryPlanMatchesTheSerialReference) {
+  sweep(GetParam(), /*map_threads=*/1, kTier1Plans);
+}
+
+/// The same plans with every map task on a pool of four workers: faults
+/// take the threaded map path, and a scripted crash tick fires on exactly
+/// one of the workers mapping that task's chunks.
+class ThreadedChaosSweep : public ::testing::TestWithParam<Workload> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, ThreadedChaosSweep,
+    ::testing::Values(Workload{Kind::kWordCount, "wordcount", 3, 2},
+                      Workload{Kind::kCc, "cc", 3, 3}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+TEST_P(ThreadedChaosSweep, EveryPlanMatchesTheSerialReference) {
+  sweep(GetParam(), /*map_threads=*/4, kTier1ThreadedPlans);
 }
 
 }  // namespace

@@ -121,6 +121,9 @@ TEST_P(SpillParityTest, MpidBudgetedOutputIsByteIdentical) {
   EXPECT_GT(budgeted.report.totals.bytes_spilled_disk, 0u);
   EXPECT_GT(budgeted.report.totals.spill_files, 0u);
   EXPECT_GT(budgeted.report.totals.external_merge_passes, 0u);
+  // Map buffers charge the budget at every thread count, so its pressure
+  // spills them early.
+  EXPECT_GT(budgeted.report.totals.spills, unbounded.report.totals.spills);
   // Temp-file hygiene: every run was removed when its reducer finished.
   EXPECT_EQ(dir.file_count(), 0u);
 }
@@ -159,6 +162,7 @@ TEST_P(SpillParityTest, MiniHadoopBudgetedOutputIsByteIdentical) {
   // reducers, so something in that chain must have hit the disk tier.
   EXPECT_GT(budgeted.bytes_spilled_disk, 0u);
   EXPECT_GT(budgeted.spill_files, 0u);
+  EXPECT_GT(budgeted.spills, unbounded.spills);
   EXPECT_EQ(dir.file_count(), 0u);
 }
 

@@ -56,27 +56,35 @@ TEST(MiniHadoopFaults, ScriptedMapAndReduceCrashMidJob) {
   dfs::MiniDfs fs(2);
   fs.create("/in", workloads::generate_text({}, 64 * 1024, 900));
   MiniCluster cluster(fs, 2);
-  const auto clean = cluster.run(wordcount_config("/in", "/clean"));
+  // A map attempt runs the same driver at every thread count; at 4 the
+  // crash tick is shared by the chunks running on the worker pool.
+  for (const std::size_t threads : {1, 4}) {
+    SCOPED_TRACE("map_threads=" + std::to_string(threads));
+    auto clean_job = wordcount_config("/in", "/clean");
+    clean_job.map_threads = threads;
+    const auto clean = cluster.run(clean_job);
 
-  fault::FaultPlan plan;
-  plan.seed = 21;
-  // Map 1 dies after 2 input lines; reduce 0 dies after fetching its
-  // first segment — mid-shuffle. Both are requeued and re-executed.
-  plan.scripted_crashes.push_back({fault::TaskKind::kMap, 1, 0, 2});
-  plan.scripted_crashes.push_back({fault::TaskKind::kReduce, 0, 0, 1});
-  auto inj = std::make_shared<fault::FaultInjector>(plan);
-  auto job = wordcount_config("/in", "/faulted");
-  job.fault_injector = inj;
-  const auto faulted = cluster.run(job);
+    fault::FaultPlan plan;
+    plan.seed = 21;
+    // Map 1 dies after 2 input lines; reduce 0 dies after fetching its
+    // first segment — mid-shuffle. Both are requeued and re-executed.
+    plan.scripted_crashes.push_back({fault::TaskKind::kMap, 1, 0, 2});
+    plan.scripted_crashes.push_back({fault::TaskKind::kReduce, 0, 0, 1});
+    auto inj = std::make_shared<fault::FaultInjector>(plan);
+    auto job = wordcount_config("/in", "/faulted");
+    job.map_threads = threads;
+    job.fault_injector = inj;
+    const auto faulted = cluster.run(job);
 
-  EXPECT_EQ(read_parts(fs, clean.output_files),
-            read_parts(fs, faulted.output_files));
-  EXPECT_EQ(faulted.map_reexecutions, 1u);
-  EXPECT_EQ(faulted.reduce_reexecutions, 1u);
-  EXPECT_EQ(inj->log().count(fault::Kind::kTaskCrash), 2u);
-  EXPECT_GE(inj->log().count(fault::Kind::kTaskReexec), 2u);
-  EXPECT_GT(faulted.recovery_wall_ns, 0u);
-  EXPECT_EQ(clean.map_output_pairs, faulted.map_output_pairs);
+    EXPECT_EQ(read_parts(fs, clean.output_files),
+              read_parts(fs, faulted.output_files));
+    EXPECT_EQ(faulted.map_reexecutions, 1u);
+    EXPECT_EQ(faulted.reduce_reexecutions, 1u);
+    EXPECT_EQ(inj->log().count(fault::Kind::kTaskCrash), 2u);
+    EXPECT_GE(inj->log().count(fault::Kind::kTaskReexec), 2u);
+    EXPECT_GT(faulted.recovery_wall_ns, 0u);
+    EXPECT_EQ(clean.map_output_pairs, faulted.map_output_pairs);
+  }
 }
 
 TEST(MiniHadoopFaults, SpeculativeTwinOutrunsStraggler) {
@@ -114,21 +122,45 @@ TEST(MiniHadoopFaults, ShuffleFetchErrorsRetryAndRecover) {
   dfs::MiniDfs fs(2);
   fs.create("/in", workloads::generate_text({}, 48 * 1024, 902));
   MiniCluster cluster(fs, 2);
-  const auto clean = cluster.run(wordcount_config("/in", "/clean"));
+  // Both fetch shapes share one retry loop: a GET per map segment, and
+  // with node aggregation a GET per (tracker, reduce) merged stream.
+  for (const bool node_aggregation : {false, true}) {
+    SCOPED_TRACE(node_aggregation ? "node_aggregation" : "per-map fetch");
+    auto clean_job = wordcount_config("/in", "/clean");
+    clean_job.node_aggregation = node_aggregation;
+    const auto clean = cluster.run(clean_job);
 
-  fault::FaultPlan plan;
-  plan.seed = 31;
-  plan.fetch_error_prob = 0.4;
-  auto inj = std::make_shared<fault::FaultInjector>(plan);
-  auto job = wordcount_config("/in", "/fetchy");
-  job.fault_injector = inj;
-  const auto faulted = cluster.run(job);
+    fault::FaultPlan plan;
+    plan.seed = 31;
+    // Which maps share a tracker varies from run to run, so the aggregated
+    // shape may fetch only map 0's group per reduce. At this seed the
+    // first fetch of map 0 for reduce 0 fails at 0.5 (not at 0.4), so
+    // both shapes retry on every run.
+    plan.fetch_error_prob = node_aggregation ? 0.5 : 0.4;
+    auto inj = std::make_shared<fault::FaultInjector>(plan);
+    auto job = wordcount_config("/in", "/fetchy");
+    job.node_aggregation = node_aggregation;
+    job.fault_injector = inj;
+    const auto faulted = cluster.run(job);
 
-  EXPECT_EQ(read_parts(fs, clean.output_files),
-            read_parts(fs, faulted.output_files));
-  EXPECT_GT(faulted.shuffle_fetch_retries, 0u);
-  EXPECT_GT(inj->log().count(fault::Kind::kFetchError), 0u);
-  EXPECT_GT(inj->log().count(fault::Kind::kFetchRetry), 0u);
+    EXPECT_EQ(read_parts(fs, clean.output_files),
+              read_parts(fs, faulted.output_files));
+    EXPECT_GT(faulted.shuffle_fetch_retries, 0u);
+    EXPECT_GT(inj->log().count(fault::Kind::kFetchError), 0u);
+    EXPECT_GT(inj->log().count(fault::Kind::kFetchRetry), 0u);
+    // Only the GET that succeeds counts, and only its accounting folds.
+    // The merged streams are compared through what grouping cannot change.
+    const std::uint64_t sources =
+        node_aggregation ? faulted.map_trackers
+                         : static_cast<std::uint64_t>(job.map_tasks);
+    EXPECT_EQ(faulted.shuffle_requests,
+              sources * static_cast<std::uint64_t>(job.reduce_tasks));
+    EXPECT_EQ(faulted.bytes_pre_node_agg, clean.bytes_pre_node_agg);
+    if (node_aggregation) {
+      EXPECT_GT(faulted.bytes_post_node_agg, 0u);
+      EXPECT_EQ(faulted.shuffled_bytes, faulted.bytes_post_node_agg);
+    }
+  }
 }
 
 TEST(MiniHadoopFaults, DroppedHeartbeatsAreRetried) {

@@ -99,9 +99,10 @@ TEST(MiniHadoop, WordCountMatchesSerialReference) {
 }
 
 TEST(MiniHadoop, ThreadedMapTasksMatchSequentialExactly) {
-  // map_threads is a speed knob, never a semantics knob: the threaded map
-  // attempt must produce the same outputs and the same shuffle accounting
-  // as the sequential path, with and without shuffle compression.
+  // map_threads is a speed knob, never a semantics knob: a map attempt
+  // must produce the same outputs at every thread count, and the same
+  // shuffle accounting at every count that chunks the split, with and
+  // without shuffle compression.
   const auto text = workloads::generate_text({}, 200 * 1024, 99);
   for (const auto mode :
        {shuffle::ShuffleCompression::kOff, shuffle::ShuffleCompression::kOn}) {
@@ -129,9 +130,9 @@ TEST(MiniHadoop, ThreadedMapTasksMatchSequentialExactly) {
     EXPECT_EQ(par_counts, seq_counts) << label;
     EXPECT_EQ(two_counts, seq_counts) << label;
     EXPECT_EQ(par_counts, serial_wordcount(text)) << label;
-    // Byte-level accounting is exact across thread counts of the chunked
-    // map path (threads=1 keeps the legacy task-long spill cadence, so
-    // its combine effectiveness — and hence byte counts — differ).
+    // Byte-level accounting is exact across thread counts that chunk the
+    // split (threads=1 maps it as one chunk, a task-long spill cadence,
+    // so its combine effectiveness — and hence byte counts — differ).
     EXPECT_EQ(par_summary.map_output_pairs, two_summary.map_output_pairs)
         << label;
     EXPECT_EQ(par_summary.shuffle_bytes_wire, two_summary.shuffle_bytes_wire)
@@ -236,20 +237,6 @@ TEST(MiniHadoop, MapFailurePropagates) {
   job.reduce = wordcount_reduce();
   job.input_path = "/in";
   EXPECT_THROW(cluster.run(job), std::runtime_error);
-}
-
-TEST(MiniHadoop, UnsortedReduceStillCorrect) {
-  dfs::MiniDfs fs(2);
-  const auto text = workloads::generate_text({}, 30 * 1024, 13);
-  fs.create("/in", text);
-  MiniCluster cluster(fs, 2);
-  MiniJobConfig job;
-  job.map = wordcount_map();
-  job.reduce = wordcount_reduce();
-  job.input_path = "/in";
-  job.sorted_reduce = false;
-  const auto summary = cluster.run(job);
-  EXPECT_EQ(parse_outputs(fs, summary.output_files), serial_wordcount(text));
 }
 
 }  // namespace
