@@ -186,7 +186,6 @@ int main() {
     job.map = wc_map();
     job.reduce = wc_reduce();
     job.combiner = wc_combine();
-    job.streaming_merge_reduce = true;  // the merge phase the store extends
     job.tuning.node_aggregation = true;  // 2 modeled nodes of 2 mappers
     job.tuning.ranks_per_node = 2;
     arm_budget(job.tuning, spill_dir);

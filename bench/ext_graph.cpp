@@ -11,12 +11,13 @@
 // and the static graph structure is realigned once and pinned.
 //
 // Part 1 runs the real runtimes on three graph workloads — label-
-// propagation connected components, SSSP and triangle counting — four
-// ways each: JobChain chained, JobChain unchained (fresh world + full
-// re-ingest per round), MiniHadoop resident and MiniHadoop with the
-// per-round DFS round trip. All four must be byte-identical and match
-// the serial references; the chain counters must prove residency (zero
-// static re-shuffles, zero ingest after round 1). Both are exit-gated.
+// propagation connected components, SSSP and triangle counting — three
+// ways each: the resident JobChain, MiniHadoop resident and MiniHadoop
+// with the per-round DFS round trip (a fresh job per round that re-ingests
+// the previous round's part files and re-realigns the statics). All three
+// must be byte-identical and match the serial references; the chain
+// counters must prove residency (zero static re-shuffles, zero ingest
+// after round 1). Both are exit-gated.
 //
 // Part 2 prices the same structure at Figure 6 scale: an iterative job
 // on the 8-node model, resident vs the replicated-writeback ablation, on
@@ -74,21 +75,19 @@ struct WorkloadResult {
   std::string name;
   std::uint64_t rounds = 0;
   std::uint64_t chained_ingest = 0;
-  std::uint64_t unchained_ingest = 0;
+  std::uint64_t roundtrip_ingest = 0;
   std::uint64_t resident_bytes_in = 0;
   std::uint64_t static_pinned = 0;
   std::uint64_t static_reshuffled_ablation = 0;
 };
 
-/// Runs one workload all four ways, dies on any divergence, returns the
+/// Runs one workload all three ways, dies on any divergence, returns the
 /// residency accounting.
 WorkloadResult run_workload(const std::string& name, const mapred::ChainJob& job,
                             const std::string& text,
                             const mapred::KvVec& expected,
                             common::TextTable& table) {
-  mapred::JobChain chain(kPartitions);
-  const auto chained = chain.run_on_text(job, text);
-  const auto unchained = chain.run_unchained_on_text(job, text);
+  const auto chained = mapred::JobChain(kPartitions).run_on_text(job, text);
 
   dfs::MiniDfs fs(3);
   fs.create("/in", text);
@@ -109,10 +108,9 @@ WorkloadResult run_workload(const std::string& name, const mapred::ChainJob& job
 
   const auto hadoop_out = parse_parts(fs, hadoop.output_files);
   const auto roundtrip_out = parse_parts(fs, roundtrip.output_files);
-  if (chained.outputs != unchained.outputs || chained.outputs != hadoop_out ||
-      chained.outputs != roundtrip_out) {
+  if (chained.outputs != hadoop_out || chained.outputs != roundtrip_out) {
     std::fprintf(stderr,
-                 "FATAL: %s outputs diverge across the four executions\n",
+                 "FATAL: %s outputs diverge across the three executions\n",
                  name.c_str());
     std::exit(1);
   }
@@ -151,14 +149,13 @@ WorkloadResult run_workload(const std::string& name, const mapred::ChainJob& job
   w.name = name;
   w.rounds = chained.rounds.size();
   w.chained_ingest = totals.ingest_bytes;
-  w.unchained_ingest = unchained.report.totals.ingest_bytes;
+  w.roundtrip_ingest = roundtrip.ingest_bytes;
   w.resident_bytes_in = totals.resident_bytes_in;
   w.static_pinned = totals.static_bytes_pinned;
-  w.static_reshuffled_ablation =
-      unchained.report.totals.static_bytes_reshuffled;
+  w.static_reshuffled_ablation = roundtrip.static_bytes_reshuffled;
   table.add_row({name, common::strformat("%llu", ull(w.rounds)),
                  common::format_bytes(w.chained_ingest),
-                 common::format_bytes(w.unchained_ingest),
+                 common::format_bytes(w.roundtrip_ingest),
                  common::format_bytes(w.resident_bytes_in),
                  common::format_bytes(w.static_pinned),
                  common::format_bytes(w.static_reshuffled_ablation)});
@@ -180,10 +177,10 @@ int main() {
       "%d partitions) ==\n\n",
       spec.vertices, kPartitions);
 
-  // ---- Part 1: real runtimes, four-way byte parity (exit-gated) --------
+  // ---- Part 1: real runtimes, three-way byte parity (exit-gated) -------
   common::TextTable table({"workload", "rounds", "chained ingest",
-                           "unchained ingest", "resident in", "static pinned",
-                           "static reshuffled (ablation)"});
+                           "round-trip ingest", "resident in",
+                           "static pinned", "static reshuffled (round trip)"});
   const auto cc = run_workload("cc", workloads::cc_job(text), text,
                                workloads::cc_reference(text), table);
   const auto sssp = run_workload(
@@ -193,12 +190,12 @@ int main() {
       run_workload("triangle", workloads::triangle_job(text), text, {}, table);
   std::printf("%s\n", table.render().c_str());
   std::printf(
-      "All three workloads byte-identical across JobChain chained/unchained\n"
+      "All three workloads byte-identical across the resident JobChain\n"
       "and MiniHadoop resident/round-trip, and equal to the serial\n"
       "references. Chained runs ingest external input exactly once and\n"
-      "never re-shuffle the pinned statics; the unchained ablation\n"
-      "re-ingests every round (%.1fx the external bytes for cc).\n\n",
-      static_cast<double>(cc.unchained_ingest) /
+      "never re-shuffle the pinned statics; the round trip re-ingests\n"
+      "every round's part files (%.1fx the external bytes for cc).\n\n",
+      static_cast<double>(cc.roundtrip_ingest) /
           static_cast<double>(cc.chained_ingest));
 
   // ---- Part 2: Figure 6 scale, resident vs HDFS round trip -------------
@@ -268,12 +265,12 @@ int main() {
     json << common::strformat(
         "  \"%s_rounds\": %llu,\n"
         "  \"%s_chained_ingest_bytes\": %llu,\n"
-        "  \"%s_unchained_ingest_bytes\": %llu,\n"
+        "  \"%s_roundtrip_ingest_bytes\": %llu,\n"
         "  \"%s_resident_bytes_in\": %llu,\n"
         "  \"%s_static_bytes_pinned\": %llu,\n"
         "  \"%s_static_bytes_reshuffled\": 0,\n",
         w->name.c_str(), ull(w->rounds), w->name.c_str(),
-        ull(w->chained_ingest), w->name.c_str(), ull(w->unchained_ingest),
+        ull(w->chained_ingest), w->name.c_str(), ull(w->roundtrip_ingest),
         w->name.c_str(), ull(w->resident_bytes_in), w->name.c_str(),
         ull(w->static_pinned), w->name.c_str());
   }

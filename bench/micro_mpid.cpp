@@ -178,7 +178,6 @@ void BM_MpidWordCountBudgeted(benchmark::State& state) {
   const std::string spill_dir = ::mkdtemp(tmpl.data());
 
   auto job = wordcount(true);
-  job.streaming_merge_reduce = true;  // the merge phase the store extends
   job.tuning.memory_budget_bytes = 64 * 1024;
   job.tuning.spill_dir = spill_dir;
   job.tuning.spill_page_bytes = shuffle::ShuffleOptions::kMinSpillPageBytes;

@@ -1,7 +1,7 @@
 // Shuffle pipeline microbenchmark.
 //
 // Measures the MPI-D shuffle hot path end to end on in-process ranks —
-// mappers call MPI_D_Send, reducers drain MPI_D_Recv groups — over the
+// mappers call MPI_D_Send, reducers drain MPI_D_Recv — over the
 // pipelined zero-copy transport: bounded-window owned isends, pooled
 // frame buffers, checksummed frame trailers and per-lane delivery.
 //
@@ -38,7 +38,8 @@ constexpr int kPairsPerMapper = 4096;
 constexpr std::size_t kValueBytes = 2048;
 
 /// One full shuffle: every mapper ships kPairsPerMapper values of
-/// kValueBytes each; reducers drain groups. Returns the master's report.
+/// kValueBytes each; reducers drain every pair (one value copy each).
+/// Returns the master's report.
 core::JobReport run_shuffle(const core::Config& config) {
   core::JobReport report;
   minimpi::run_world(config.world_size(), [&](minimpi::Comm& comm) {
@@ -59,9 +60,9 @@ core::JobReport run_shuffle(const core::Config& config) {
       }
       case core::Role::kReducer: {
         std::string key;
-        std::vector<std::string> values;
+        std::string value;
         std::size_t drained = 0;
-        while (d.recv_group(key, values)) drained += values.size();
+        while (d.recv(key, value)) ++drained;
         benchmark::DoNotOptimize(drained);
         d.finalize();
         break;

@@ -68,7 +68,7 @@ int main() {
       static_cast<unsigned long long>(summary.heartbeats),
       static_cast<unsigned long long>(summary.shuffle_requests),
       common::format_bytes(summary.shuffled_bytes).c_str(),
-      static_cast<unsigned long long>(summary.map_output_pairs));
+      static_cast<unsigned long long>(summary.pairs_after_combine));
 
   // 3. Read the output files back from the DFS.
   std::map<std::string, std::uint64_t> hadoop_counts;

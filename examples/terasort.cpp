@@ -3,7 +3,7 @@
 // ranks, generated 100-byte records).
 //
 // map:    record -> (key, payload)
-// reduce: keys arrive grouped; with sorted_reduce each reducer emits its
+// reduce: keys arrive grouped and merged, so each reducer emits its
 //         partition in key order. A range partitioner (a custom MPI-D
 //         Partitioner — TeraSort's trick) assigns contiguous key ranges
 //         to reducers, so the concatenated output is GLOBALLY sorted.
@@ -36,7 +36,6 @@ int main() {
     // Duplicate keys keep all their payloads.
     for (const auto& p : payloads) ctx.emit(key, p);
   };
-  job.sorted_reduce = true;  // per-reducer runs come out in key order
   // Range partitioner over the first key byte (keys are uniform printable
   // characters '!'..'~'): reducer r owns an equal slice of the key space.
   job.tuning.partitioner = [](std::string_view key,

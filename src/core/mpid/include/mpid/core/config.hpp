@@ -9,7 +9,7 @@
 // The dataflow knobs (spill/partition/combine/sort/compression) live in
 // shuffle::ShuffleOptions — the transport-agnostic pipeline shared with
 // MiniHadoop — which Config embeds by inheritance. Only transport policy
-// (in-flight windows, frame pooling, resilience) is declared here.
+// (frame pooling, resilience) is declared here.
 #pragma once
 
 #include <cstddef>
@@ -66,13 +66,6 @@ struct Config : shuffle::ShuffleOptions {
 
   /// Optional partition selector; empty function means hash-mod.
   Partitioner partitioner;
-
-  /// Full partition frames move into the transport with owned nonblocking
-  /// sends (frame buffers recycle through a FramePool). This bounds the
-  /// sends outstanding per destination reducer before the mapper waits on
-  /// the oldest (>= 1). Two frames give classic double buffering; more
-  /// deepens the pipeline.
-  std::size_t max_inflight_frames = 4;
 
   /// Frame buffer recycler shared by the ranks of a job; null selects the
   /// process-wide FramePool::process_pool() (in-process worlds run every

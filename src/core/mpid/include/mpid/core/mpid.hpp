@@ -136,17 +136,12 @@ class MpiD {
   /// no buffered pairs remain.
   bool recv(std::string& key, std::string& value);
 
-  /// Grouped variant: one (key, value-list) segment as realigned by the
-  /// sending mapper. The same key can appear in multiple segments (one per
-  /// mapper/spill); global grouping is the caller's job (see mapred).
-  bool recv_group(std::string& key, std::vector<std::string>& values);
-
   /// Raw-frame variant: one realigned partition frame as a mapper built
   /// it (codec-decoded); false once every lane was delivered and drained.
   /// Feed the frames to SortedFrameMerger (merge.hpp) for Hadoop-style
   /// globally key-ordered reduction (requires Config::sort_keys on the
   /// mappers).
-  /// Must not be mixed with recv()/recv_group() on the same instance.
+  /// Must not be mixed with recv() on the same instance.
   bool recv_raw_frame(std::vector<std::byte>& frame);
 
   /// Folds a counter block accumulated outside this rank's pipeline —
@@ -228,7 +223,7 @@ class MpiD {
                    std::size_t count);
   /// Moves one frame into the partition's bounded window of owned
   /// nonblocking sends, first waiting out the oldest send when the window
-  /// is full (Config::max_inflight_frames).
+  /// is full (kMaxInflightFrames in mpid.cpp).
   void isend_windowed(std::size_t partition, std::vector<std::byte> frame);
 
   // --- the data channel (DESIGN.md §6/§7) ---
@@ -395,7 +390,7 @@ class MpiD {
   /// single-threaded configurations never spawn anything.
   std::unique_ptr<shuffle::WorkerPool> worker_pool_;
   /// Outstanding nonblocking frame sends, one bounded window per
-  /// destination reducer (Config::max_inflight_frames).
+  /// destination reducer (kMaxInflightFrames in mpid.cpp).
   std::vector<std::deque<minimpi::Request>> inflight_;
 
   // Mapper state: one lane per reducer. Under the resilient shuffle sent
@@ -460,8 +455,8 @@ class MpiD {
   std::uint64_t progress_ticks_ = 0;
 
   // Reducer state: one decoded frame at a time is reverse-realigned in
-  // place. recv()/recv_group() materialize from views into
-  // delivery_frame_, so a pair costs one copy (wire -> caller string).
+  // place. recv() materializes from views into delivery_frame_, so a
+  // pair costs one copy (wire -> caller string).
   // The reader and view alias delivery_frame_, which is released to the
   // pool only once fully drained.
   /// Consumer side of the codec stage (engaged when compression is on):

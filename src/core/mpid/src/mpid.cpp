@@ -31,6 +31,11 @@ constexpr int kRepullTag = 7;    // restarted reducer -> mapper: resend lane
 // frames are never empty).
 constexpr int kNodeTag = 8;
 
+/// Owned nonblocking frame sends outstanding per destination reducer
+/// before the mapper waits on the oldest. Two would be classic double
+/// buffering; four deepens the pipeline.
+constexpr std::size_t kMaxInflightFrames = 4;
+
 static_assert(std::is_trivially_copyable_v<Stats>,
               "Stats travels as a raw MPI payload");
 
@@ -56,9 +61,6 @@ MpiD::MpiD(minimpi::Comm& comm, Config config)
   if (comm.size() != config_.world_size()) {
     throw std::invalid_argument(
         "MpiD: communicator size must be 1 (master) + mappers + reducers");
-  }
-  if (config_.max_inflight_frames < 1) {
-    throw std::invalid_argument("MpiD: max_inflight_frames must be >= 1");
   }
   config_.validate();  // shared shuffle knobs (spill/frame/compression)
   placement_.replication = std::max<std::size_t>(config_.coded_replication, 1);
@@ -300,7 +302,7 @@ void MpiD::isend_windowed(std::size_t partition, std::vector<std::byte> frame) {
   const minimpi::Rank dst =
       1 + config_.mappers + static_cast<minimpi::Rank>(partition);
   auto& window = inflight_[partition];
-  while (window.size() >= config_.max_inflight_frames) {
+  while (window.size() >= kMaxInflightFrames) {
     window.front().wait();
     window.pop_front();
   }
@@ -383,30 +385,9 @@ bool MpiD::recv_raw_frame(std::vector<std::byte>& frame) {
   ensure_role(Role::kReducer, "recv_raw_frame");
   if (current_view_ || delivery_reader_) {
     throw std::logic_error(
-        "MpiD: recv_raw_frame cannot be mixed with recv()/recv_group()");
+        "MpiD: recv_raw_frame cannot be mixed with recv()");
   }
   return next_frame(frame);
-}
-
-bool MpiD::recv_group(std::string& key, std::vector<std::string>& values) {
-  ensure_role(Role::kReducer, "recv_group");
-  // Hand back the undrained remainder of the current group (a recv()
-  // caller may have consumed a prefix of it).
-  if (!(current_view_ &&
-        current_value_index_ < current_view_->values.size())) {
-    if (!next_group_view()) return false;
-  }
-  key.assign(current_view_->key);
-  values.clear();
-  values.reserve(current_view_->values.size() - current_value_index_);
-  for (std::size_t i = current_value_index_;
-       i < current_view_->values.size(); ++i) {
-    values.emplace_back(current_view_->values[i]);
-  }
-  stats_.pairs_received += values.size();
-  current_view_.reset();
-  current_value_index_ = 0;
-  return true;
 }
 
 void MpiD::finalize() {

@@ -25,8 +25,8 @@
 //   job.static_input = adjacency;      // realigned once, pinned
 //   ChainResult r = JobChain(/*partitions=*/4).run(job, inputs);
 //
-// Determinism rules (what makes chained == unchained byte-identical and
-// both runtimes agree):
+// Determinism rules (what makes every run byte-identical at any width and
+// thread count, and equal to MiniHadoop's chain, resident or round-trip):
 //   * a partition seals SORTED by (key, value) at every round barrier, so
 //     round N+1's map input order is a pure function of round N's output
 //     multiset;
@@ -287,8 +287,8 @@ struct ChainResult {
   KvVec outputs;
   std::vector<RoundReport> rounds;
   /// Master fold: totals plus one Stats entry per barrier in
-  /// report.round_totals (chained runs) — the counter trail proving
-  /// rounds >= 2 ingest zero external and zero static bytes.
+  /// report.round_totals — the counter trail proving rounds >= 2 ingest
+  /// zero external and zero static bytes.
   core::JobReport report;
 
   KvVec take_outputs() noexcept { return std::move(outputs); }
@@ -308,16 +308,6 @@ class JobChain {
 
   /// Convenience: splits a text corpus into per-partition line sources.
   ChainResult run_on_text(const ChainJob& job, std::string_view text) const;
-
-  /// The re-ingest ablation: the SAME rounds, but every round is a fresh
-  /// one-shot world — round N's output is fed back as round N+1's ingest
-  /// and the static channel is re-realigned every round. Outputs are
-  /// byte-identical to run(); the counter deltas (ingest_bytes,
-  /// static_bytes_reshuffled) are what residency saves.
-  ChainResult run_unchained(const ChainJob& job,
-                            std::vector<RecordSource> inputs) const;
-  ChainResult run_unchained_on_text(const ChainJob& job,
-                                    std::string_view text) const;
 
   int partitions() const noexcept { return partitions_; }
 

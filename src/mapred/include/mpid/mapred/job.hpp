@@ -86,18 +86,15 @@ struct JobDef {
   ReduceFn reduce;
   /// Optional local combiner (see core::Config::combiner).
   core::Combiner combiner;
-  /// MPI-D tuning; the runner fills in mappers/reducers.
+  /// MPI-D tuning; the runner fills in mappers/reducers and sets
+  /// sort_keys. Every job runs Hadoop's merge phase: mappers ship
+  /// key-sorted frames and each reducer k-way merges them
+  /// (core::SortedFrameMerger, whose disk tier a memory budget arms), so
+  /// reduce() sees keys in lexicographic order. Value order within a key
+  /// is unspecified, as in Hadoop.
   core::Config tuning;
-  /// Present keys to reduce() in lexicographic order through Hadoop's
-  /// merge phase: mappers ship key-sorted frames (Config::sort_keys) and
-  /// each reducer k-way merges them (core::SortedFrameMerger, whose disk
-  /// tier a memory budget arms). When false, reducers regroup in a hash
-  /// table and reduce in its order. Value order within a key is
-  /// unspecified either way, as in Hadoop.
-  bool sorted_reduce = true;
 
-  /// Forces sorted_reduce's merge path even when sorted_reduce is false.
-  /// Since every sorted reduce merges, this only forces sorted key order.
+  /// Inert (every job merges); see ROADMAP item 5, "Order".
   bool streaming_merge_reduce = false;
 };
 

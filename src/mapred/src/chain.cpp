@@ -98,8 +98,7 @@ void ResidentPartition::seal(KvVec pairs, store::MemoryBudget* budget,
   clear();
   // The determinism rule: a partition seals sorted by (key, value), so
   // the next round's map input order is a pure function of this round's
-  // output multiset — identical across runtimes, thread counts and the
-  // chained/unchained executors.
+  // output multiset — identical across runtimes and thread counts.
   detail::sort_run(pairs);
   pair_count_ = pairs.size();
   byte_count_ = 0;
@@ -249,7 +248,7 @@ void validate_job(const ChainJob& job) {
 
 }  // namespace chain_detail
 
-// ----------------------------------------------------------- the executors --
+// ------------------------------------------------------------ the executor --
 
 namespace {
 
@@ -303,15 +302,13 @@ void ChainState::trim(std::size_t rounds) {
 /// Runs the map side of one round on mapper rank `p`. Round 1 maps the
 /// external `input` through job.ingest (`input` is null on later
 /// rounds); later rounds map this partition's resident pairs through the
-/// current stage's map. Chain accounting accumulates into `acc`;
-/// `reingest` marks the unchained ablation, where resident pairs count as
-/// re-ingested external bytes instead of resident reads. `map_ticks` is
-/// run_map_task's chain-wide crash-tick carry (null: one-round job).
+/// current stage's map. Chain accounting accumulates into `acc`.
+/// `map_ticks` is run_map_task's chain-wide crash-tick carry.
 void run_map_side(core::MpiD& mpid, const ChainJob& job,
                   const PlanCursor& cur, int round, int p,
                   detail::MapInput* input, const ResidentPartition& resident,
-                  const StaticTables* statics, bool reingest,
-                  shuffle::ShuffleCounters& acc, std::uint64_t* map_ticks) {
+                  const StaticTables* statics, shuffle::ShuffleCounters& acc,
+                  std::uint64_t* map_ticks) {
   if (input != nullptr) {
     std::vector<std::string> split;
     detail::run_map_task(mpid, job.tuning,
@@ -322,12 +319,8 @@ void run_map_side(core::MpiD& mpid, const ChainJob& job,
   }
   // Resident round: this partition's sealed pairs are the map input, in
   // place — no re-ingest, no DFS round trip.
-  if (reingest) {
-    acc.ingest_bytes += resident.byte_count();
-  } else {
-    acc.resident_pairs_in += resident.pair_count();
-    acc.resident_bytes_in += resident.byte_count();
-  }
+  acc.resident_pairs_in += resident.pair_count();
+  acc.resident_bytes_in += resident.byte_count();
   const ChainStage& stage = job.stages[cur.stage];
   KvVec pairs;
   detail::MapTask task;
@@ -361,11 +354,9 @@ void run_map_side(core::MpiD& mpid, const ChainJob& job,
 /// round a converged chain ends with — the mappers still seal their
 /// lanes at the barrier, so the reducers drain the empty shuffle, but
 /// nothing maps or seals.
-/// `chained` false is the unchained ablation (see run_map_side), whose
-/// rounds are separate jobs and pass no `map_ticks`.
 void run_round(core::MpiD& mpid, ChainState& state, const ChainJob& job,
                const PlanCursor& cur, int round,
-               std::vector<detail::MapInput>& inputs, bool live, bool chained,
+               std::vector<detail::MapInput>& inputs, bool live,
                std::uint64_t* map_ticks) {
   switch (mpid.role()) {
     case core::Role::kMapper: {
@@ -375,13 +366,13 @@ void run_round(core::MpiD& mpid, ChainState& state, const ChainJob& job,
       shuffle::ShuffleCounters acc;
       run_map_side(mpid, job, cur, round, p,
                    round == 1 ? &inputs[slot] : nullptr, state.resident[slot],
-                   state.statics, /*reingest=*/!chained, acc, map_ticks);
+                   state.statics, acc, map_ticks);
       mpid.fold_counters(acc);
       return;
     }
     case core::Role::kReducer: {
       const int p = mpid.reducer_index();
-      detail::ReduceTask task(mpid, job.tuning, /*merge=*/true);
+      detail::ReduceTask task(mpid, job.tuning);
       task.collect();
       ChainReduceContext ctx(state.statics, p, round);
       task.reduce([&](std::string_view key, std::vector<std::string>& values) {
@@ -392,14 +383,9 @@ void run_round(core::MpiD& mpid, ChainState& state, const ChainJob& job,
       part.seal(ctx.take_emitted(), state.resident_budget.get(),
                 state.spill_dir);
       shuffle::ShuffleCounters acc;
-      if (state.statics != nullptr) {
-        // Pinned once; the unchained ablation realigns the static channel
-        // again for every later round.
-        if (round == 1) {
-          acc.static_bytes_pinned = state.statics->partition_bytes(p);
-        } else if (!chained) {
-          acc.static_bytes_reshuffled = state.statics->partition_bytes(p);
-        }
+      if (state.statics != nullptr && round == 1) {
+        // Pinned once, never realigned again.
+        acc.static_bytes_pinned = state.statics->partition_bytes(p);
       }
       if (part.spilled()) acc.resident_bytes_spilled = part.byte_count();
       mpid.fold_counters(acc);
@@ -462,7 +448,7 @@ ChainResult run_chained(const ChainJob& job, int partitions,
   core::Config config = job.tuning;
   config.mappers = partitions;
   config.reducers = partitions;
-  config.sort_keys = true;  // chains always reduce through the merge phase
+  config.sort_keys = true;  // every reduce runs the merge phase
   // Budget for every barrier the plan can reach: each stage's round
   // allowance plus the empty teardown barrier an early-converged chain
   // needs (the stop decision is only known after the round it stops at).
@@ -472,8 +458,7 @@ ChainResult run_chained(const ChainJob& job, int partitions,
 
   ChainState state(job, partitions, config);
   // The static channel: realigned once, before the world starts, pinned
-  // for every round. (The unchained ablation rebuilds this per round —
-  // that delta is the static_bytes_reshuffled counter.)
+  // for every round.
   const StaticTables statics(job.static_input, partitions,
                              config.partitioner);
   state.statics = job.static_input.empty() ? nullptr : &statics;
@@ -485,8 +470,7 @@ ChainResult run_chained(const ChainJob& job, int partitions,
     bool live = true;  // false: the next barrier is the empty teardown
     std::uint64_t map_ticks = 0;  // this rank's map attempt, chain-wide
     for (int round = 1;; ++round) {
-      run_round(mpid, state, job, cur, round, inputs, live, /*chained=*/true,
-                &map_ticks);
+      run_round(mpid, state, job, cur, round, inputs, live, &map_ticks);
       if (!live || chain_detail::statically_last(job, cur)) break;
       mpid.next_round();
       live = decide_next(state, job, cur, round);
@@ -505,61 +489,6 @@ ChainResult run_chained(const ChainJob& job, int partitions,
   }
   state.trim(ran);
   return assemble_result(state, job, std::move(report));
-}
-
-/// JobChain::run_unchained over `inputs`, one per partition.
-ChainResult run_unchained_rounds(const ChainJob& job, int partitions,
-                                 std::vector<detail::MapInput> inputs) {
-  chain_detail::validate_job(job);
-  if (inputs.size() != static_cast<std::size_t>(partitions)) {
-    throw std::invalid_argument("JobChain: need one input per partition");
-  }
-
-  core::Config config = job.tuning;
-  config.mappers = partitions;
-  config.reducers = partitions;
-  config.sort_keys = true;
-  config.resident_rounds = 1;  // every round is a fresh one-shot world
-  config.validate();
-
-  ChainState state(job, partitions, config);
-  core::JobReport chain_report;
-  PlanCursor cur;
-  int round = 1;
-  while (true) {
-    // The ablation's whole point: the static channel is realigned again
-    // for EVERY round — a fresh job has nothing pinned.
-    const StaticTables statics(job.static_input, partitions,
-                               config.partitioner);
-    state.statics = job.static_input.empty() ? nullptr : &statics;
-
-    core::JobReport report;
-    minimpi::run_world(config.world_size(), [&](minimpi::Comm& comm) {
-      core::MpiD mpid(comm, config);
-      run_round(mpid, state, job, cur, round, inputs, /*live=*/true,
-                /*chained=*/false, /*map_ticks=*/nullptr);
-      mpid.finalize();
-      if (mpid.role() == core::Role::kMaster) report = mpid.report();
-    });
-
-    chain_report.totals += report.totals;
-    chain_report.round_totals.push_back(report.totals);
-    chain_report.mappers_completed = report.mappers_completed;
-    chain_report.reducers_completed = report.reducers_completed;
-
-    if (!chain_detail::advance_plan(
-            job, cur,
-            state.round_counters[static_cast<std::size_t>(round - 1)])) {
-      break;
-    }
-    ++round;
-  }
-  // Stamp the round count the chained executor gets from the per-round
-  // stats stamp (a fresh one-shot world never stamps chain_rounds).
-  chain_report.totals.chain_rounds = static_cast<std::uint64_t>(round);
-
-  state.trim(static_cast<std::size_t>(round));
-  return assemble_result(state, job, std::move(chain_report));
 }
 
 }  // namespace
@@ -581,18 +510,6 @@ ChainResult JobChain::run(const ChainJob& job,
 ChainResult JobChain::run_on_text(const ChainJob& job,
                                   std::string_view text) const {
   return run_chained(job, partitions_, detail::text_inputs(text, partitions_));
-}
-
-ChainResult JobChain::run_unchained(const ChainJob& job,
-                                    std::vector<RecordSource> inputs) const {
-  return run_unchained_rounds(job, partitions_,
-                              detail::source_inputs(std::move(inputs)));
-}
-
-ChainResult JobChain::run_unchained_on_text(const ChainJob& job,
-                                            std::string_view text) const {
-  return run_unchained_rounds(job, partitions_,
-                              detail::text_inputs(text, partitions_));
 }
 
 }  // namespace mpid::mapred

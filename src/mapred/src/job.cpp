@@ -31,10 +31,9 @@ JobResult run_job(const JobDef& job, int mappers, int reducers,
   config.mappers = mappers;
   config.reducers = reducers;
   config.combiner = job.combiner;
-  // A sorted reduce is Hadoop's merge phase, and the merge needs every
+  // Every reduce runs Hadoop's merge phase, and the merge needs every
   // shipped frame to be one sorted run.
-  const bool merge = job.sorted_reduce || job.streaming_merge_reduce;
-  if (merge) config.sort_keys = true;
+  config.sort_keys = true;
 
   // Each reducer writes only its own run; run_world's join publishes them.
   std::vector<KvVec> runs(static_cast<std::size_t>(reducers));
@@ -88,7 +87,7 @@ JobResult run_job(const JobDef& job, int mappers, int reducers,
                 for (std::size_t i = lo; i < hi; ++i) job.map(split[i], ctx);
               });
         }
-        detail::ReduceTask task(mpid, config, merge);
+        detail::ReduceTask task(mpid, config);
         task.collect();
         mpid.finalize();
 

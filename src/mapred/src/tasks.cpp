@@ -170,12 +170,10 @@ void run_map_task(core::MpiD& mpid, const core::Config& config,
   }
 }
 
-ReduceTask::ReduceTask(core::MpiD& mpid, const core::Config& config,
-                       bool merge)
+ReduceTask::ReduceTask(core::MpiD& mpid, const core::Config& config)
     : mpid_(mpid),
       config_(config),
-      merge_(merge),
-      budgeted_(merge && config.memory_budget_bytes > 0) {}
+      budgeted_(config.memory_budget_bytes > 0) {}
 
 void ReduceTask::arm_merger() {
   if (budgeted_) {
@@ -191,20 +189,10 @@ void ReduceTask::collect() {
   arm_merger();
   for (int safety = 0;; ++safety) {
     try {
-      if (!merge_) {
-        std::string key;
-        std::vector<std::string> values;
-        while (mpid_.recv_group(key, values)) {
-          auto& list = groups_[key];
-          std::move(values.begin(), values.end(), std::back_inserter(list));
-          values.clear();
-        }
-      } else {
-        // A budgeted merger charges each frame and spills sorted runs when
-        // refused (DESIGN.md §13).
-        std::vector<std::byte> frame;
-        while (mpid_.recv_raw_frame(frame)) merger_.add_frame(std::move(frame));
-      }
+      // A budgeted merger charges each frame and spills sorted runs when
+      // refused (DESIGN.md §13).
+      std::vector<std::byte> frame;
+      while (mpid_.recv_raw_frame(frame)) merger_.add_frame(std::move(frame));
       break;
     } catch (const fault::TaskCrash&) {
       // An injected crash mid-shuffle: drop everything received and
@@ -213,7 +201,6 @@ void ReduceTask::collect() {
       // disk tier before the re-pulled frames arrive.
       if (safety >= kMaxTaskAttempts) throw;
       mpid_.restart_reducer();
-      groups_.clear();
       merger_ = core::SortedFrameMerger{};
       arm_merger();
     }
@@ -227,10 +214,6 @@ void ReduceTask::collect() {
 }
 
 void ReduceTask::reduce(const GroupFn& fn) {
-  if (!merge_) {
-    for (auto& [key, values] : groups_) fn(key, values);
-    return;
-  }
   std::string key;
   std::vector<std::string> values;
   while (merger_.next_group(key, values)) fn(key, values);

@@ -5,8 +5,8 @@
 // drivers own everything else. On the map side that is streaming versus
 // loaded input, worker-pool chunks, coded sub-splits, straggler delays,
 // injected crashes and the restart loop. On the reduce side it is the
-// crash/re-pull loop, the merge phase and the unsorted hash regroup; and
-// each runner collects output through sort_run and merge_runs.
+// crash/re-pull loop and the merge phase; and each runner collects output
+// through sort_run and merge_runs.
 #pragma once
 
 #include <cstddef>
@@ -14,7 +14,6 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -87,11 +86,10 @@ class ReduceTask {
   using GroupFn = std::function<void(std::string_view key,
                                      std::vector<std::string>& values)>;
 
-  /// `merge` selects Hadoop's merge phase: the key-sorted frames (the
-  /// mappers must set sort_keys) stream through a SortedFrameMerger.
-  /// Without it the groups are regrouped in a hash table. `config` must
-  /// outlive the task.
-  ReduceTask(core::MpiD& mpid, const core::Config& config, bool merge);
+  /// Hadoop's merge phase: the key-sorted frames (the mappers must set
+  /// sort_keys) stream through a SortedFrameMerger. `config` must outlive
+  /// the task.
+  ReduceTask(core::MpiD& mpid, const core::Config& config);
 
   /// Receives the round's whole shuffle. An injected crash restarts the
   /// attempt: what was received is discarded and every lane re-pulled.
@@ -99,8 +97,7 @@ class ReduceTask {
   /// spill counters folded here.
   void collect();
 
-  /// Calls `fn` once per key: in key order when merging, else in
-  /// hash-table order.
+  /// Calls `fn` once per key, in key order.
   void reduce(const GroupFn& fn);
 
  private:
@@ -108,15 +105,13 @@ class ReduceTask {
 
   core::MpiD& mpid_;
   const core::Config& config_;
-  const bool merge_;
   const bool budgeted_;  // the merger's disk tier is armed
-  std::unordered_map<std::string, std::vector<std::string>> groups_;
   core::SortedFrameMerger merger_;
   shuffle::ShuffleCounters spill_counters_;
 };
 
-/// Sorts one reducer's output run by (key, value). A merging reduce
-/// already emits its keys in order, so this is usually one O(n) check.
+/// Sorts one reducer's output run by (key, value). A reduce sees its keys
+/// in order, so this is usually one O(n) check.
 void sort_run(KvVec& run);
 
 /// Merges runs that are each sorted by (key, value) into one sorted

@@ -92,7 +92,6 @@ struct MiniJobConfig : shuffle::ShuffleOptions {
 /// attempt the jobtracker commits contributes. The fields declared here
 /// are MiniHadoop transport and recovery accounting.
 struct JobSummary : shuffle::ShuffleCounters {
-  std::uint64_t map_output_pairs = 0;     // after the combiner (committed)
   std::uint64_t shuffled_bytes = 0;       // HTTP bodies fetched
   std::uint64_t shuffle_requests = 0;     // GETs issued
   /// Distinct tasktrackers serving committed map output at job end (the

@@ -412,7 +412,6 @@ JobSummary MiniCluster::run_internal(const MiniJobConfig& config,
   // merged here (so re-executed and speculative twins never double).
   shuffle::ShuffleCounters job_counters;
   std::mutex counters_mu;
-  std::atomic<std::uint64_t> map_output_pairs{0};
   std::atomic<std::uint64_t> shuffled_bytes{0};
   std::atomic<std::uint64_t> shuffle_requests{0};
   std::atomic<std::uint64_t> shuffle_fetch_retries{0};
@@ -789,7 +788,6 @@ JobSummary MiniCluster::run_internal(const MiniJobConfig& config,
             const auto ack =
                 rpc.call(kProtocol, kVersion, "mapCompleted", done.buffer());
             if (hrpc::DataIn(ack).read_u8() != 0) {
-              map_output_pairs += counters.pairs_after_combine;
               std::lock_guard lock(counters_mu);
               job_counters.merge(counters);
             }
@@ -861,7 +859,6 @@ JobSummary MiniCluster::run_internal(const MiniJobConfig& config,
 
   JobSummary summary;
   static_cast<shuffle::ShuffleCounters&>(summary) = job_counters;
-  summary.map_output_pairs = map_output_pairs.load();
   summary.shuffled_bytes = shuffled_bytes.load();
   summary.shuffle_requests = shuffle_requests.load();
   std::set<int> map_trackers;
@@ -1034,7 +1031,6 @@ ChainSummary MiniCluster::run_chain(const MiniChainConfig& config) {
     // Fold the round into the chain totals (ShuffleCounters sum via
     // merge; the MiniHadoop transport fields by hand).
     chain.merge(js);
-    chain.map_output_pairs += js.map_output_pairs;
     chain.shuffled_bytes += js.shuffled_bytes;
     chain.shuffle_requests += js.shuffle_requests;
     chain.heartbeats += js.heartbeats;

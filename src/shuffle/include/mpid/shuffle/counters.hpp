@@ -83,8 +83,9 @@ struct ShuffleCounters {
   /// every rank of one chain runs the same round count).
   std::uint64_t chain_rounds = 0;
   /// External input bytes read from the ingest channel (round 1 of a
-  /// chain, or every round of a re-ingest ablation run). The headline
-  /// residency proof is that this stays flat after round 1.
+  /// chain, or every round of MiniHadoop's round-trip chain, which
+  /// re-ingests its part files). The headline residency proof is that
+  /// this stays flat after round 1.
   std::uint64_t ingest_bytes = 0;
   /// Pairs and bytes mapped in place from resident partitions (rounds
   /// >= 2) — data that never round-tripped through ingest or DFS.
@@ -94,8 +95,9 @@ struct ShuffleCounters {
   /// whole chain (counted in the round that built the tables).
   std::uint64_t static_bytes_pinned = 0;
   /// Bytes of the static channel re-realigned in later rounds — zero in
-  /// resident mode by construction; nonzero only in the unchained
-  /// (fresh-job-per-round) ablation, where every round re-pins.
+  /// resident mode by construction; nonzero only in MiniHadoop's
+  /// round-trip chain (MiniChainConfig::resident = false), where every
+  /// round is a fresh job and re-pins.
   std::uint64_t static_bytes_reshuffled = 0;
   /// Bytes of sealed resident partitions the memory budget refused —
   /// demoted to record files between rounds (two-tier residency).

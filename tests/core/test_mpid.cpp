@@ -218,14 +218,16 @@ TEST(MpiD, SortValuesOrdersEachGroup) {
       }
       d.finalize();
     } else if (d.role() == Role::kReducer) {
-      std::string k;
+      std::string k, v;
       std::vector<std::string> values;
-      ASSERT_TRUE(d.recv_group(k, values));
+      while (d.recv(k, v)) {
+        EXPECT_EQ(k, "k");
+        values.push_back(v);
+      }
+      d.finalize();
       EXPECT_EQ(values,
                 (std::vector<std::string>{"alpha", "bravo", "charlie",
                                           "delta"}));
-      EXPECT_FALSE(d.recv_group(k, values));
-      d.finalize();
     } else {
       d.finalize();
     }
@@ -250,30 +252,6 @@ TEST(MpiD, SortKeysEmitsSortedFrames) {
       // One spill, one frame: keys must come out lexicographically.
       EXPECT_EQ(order, (std::vector<std::string>{"alpha", "bravo", "mike",
                                                  "zeta"}));
-    } else {
-      d.finalize();
-    }
-  });
-}
-
-TEST(MpiD, RecvGroupReturnsRemainderAfterPartialRecv) {
-  Config cfg;
-  cfg.mappers = 1;
-  cfg.reducers = 1;
-  run_world(cfg.world_size(), [&](Comm& comm) {
-    MpiD d(comm, cfg);
-    if (d.role() == Role::kMapper) {
-      for (int i = 0; i < 4; ++i) d.send("k", std::to_string(i));
-      d.finalize();
-    } else if (d.role() == Role::kReducer) {
-      std::string k, v;
-      ASSERT_TRUE(d.recv(k, v));  // drains "0"
-      EXPECT_EQ(v, "0");
-      std::vector<std::string> rest;
-      ASSERT_TRUE(d.recv_group(k, rest));
-      EXPECT_EQ(rest, (std::vector<std::string>{"1", "2", "3"}));
-      EXPECT_FALSE(d.recv(k, v));
-      d.finalize();
     } else {
       d.finalize();
     }

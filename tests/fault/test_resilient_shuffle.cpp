@@ -189,18 +189,14 @@ TEST(ResilientShuffle, FlatCombineTableSurvivesFaults) {
 TEST(ResilientShuffle, StreamingMergePathSurvivesFaults) {
   const auto text = synthetic_text(300, 6);
   JobRunner runner(2, 2);
-  JobDef plain = wordcount_job();
-  plain.streaming_merge_reduce = true;
-  const auto baseline = runner.run_on_text(plain, text);
+  const auto baseline = runner.run_on_text(wordcount_job(), text);
 
   fault::FaultPlan plan;
   plan.seed = 13;
   plan.message_drop_prob = 0.15;
   plan.scripted_crashes.push_back({fault::TaskKind::kReduce, 1, 0, 1});
   auto inj = std::make_shared<fault::FaultInjector>(plan);
-  JobDef job = resilient_job(inj);
-  job.streaming_merge_reduce = true;
-  const auto faulted = runner.run_on_text(job, text);
+  const auto faulted = runner.run_on_text(resilient_job(inj), text);
 
   EXPECT_EQ(baseline.outputs, faulted.outputs);
   EXPECT_EQ(faulted.report.totals.task_restarts, 1u);

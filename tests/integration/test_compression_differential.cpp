@@ -1,10 +1,9 @@
 // Shuffle compression is a wire-format change only: with the codec off,
 // auto or on, every execution path must produce byte-identical job
 // output. This file is the differential proof for both runtimes —
-//   * MPI-D via the mapred JobRunner: hash grouping, sorted reduce,
-//     streaming merge reduce (SortedFrameMerger over decoded frames),
-//     the pipelined transport, and resilient_shuffle with injected crashes
-//     re-pulling compressed lanes;
+//   * MPI-D via the mapred JobRunner: the merge reduce (SortedFrameMerger
+//     over decoded frames), the pipelined transport, and resilient_shuffle
+//     with injected crashes re-pulling compressed lanes;
 //   * MiniHadoop: DFS part files compared byte for byte across off/auto/
 //     on, with and without tasktracker faults.
 // The compression counters are asserted alongside, so "it compressed"
@@ -68,27 +67,22 @@ TEST_P(CompressionDifferentialTest, MpidOutputsAreByteIdentical) {
   mapred::JobRunner runner(mappers, reducers);
 
   for (const bool combiner : {false, true}) {
-    for (const bool streaming : {false, true}) {
-      auto job = wordcount_job(combiner);
-      job.streaming_merge_reduce = streaming;
-      // Small frames so every run ships several per partition.
-      job.tuning.partition_frame_bytes = 4 * 1024;
-      const auto baseline = runner.run_on_text(job, text);
+    auto job = wordcount_job(combiner);
+    // Small frames so every run ships several per partition.
+    job.tuning.partition_frame_bytes = 4 * 1024;
+    const auto baseline = runner.run_on_text(job, text);
 
-      for (const auto mode : {core::ShuffleCompression::kAuto,
-                              core::ShuffleCompression::kOn}) {
-        job.tuning.shuffle_compression = mode;
-        job.tuning.compress_min_frame_bytes = 256;
-        const auto compressed = runner.run_on_text(job, text);
-        EXPECT_EQ(baseline.outputs, compressed.outputs)
-            << "combiner=" << combiner << " streaming=" << streaming
-            << " mode=" << static_cast<int>(mode);
-        // Zipf text is compressible: the wire must actually have shrunk.
-        EXPECT_GT(compressed.report.totals.shuffle_bytes_raw, 0u);
-        EXPECT_LT(compressed.report.totals.shuffle_bytes_wire,
-                  compressed.report.totals.shuffle_bytes_raw);
-      }
-      job.tuning.shuffle_compression = core::ShuffleCompression::kOff;
+    for (const auto mode : {core::ShuffleCompression::kAuto,
+                            core::ShuffleCompression::kOn}) {
+      job.tuning.shuffle_compression = mode;
+      job.tuning.compress_min_frame_bytes = 256;
+      const auto compressed = runner.run_on_text(job, text);
+      EXPECT_EQ(baseline.outputs, compressed.outputs)
+          << "combiner=" << combiner << " mode=" << static_cast<int>(mode);
+      // Zipf text is compressible: the wire must actually have shrunk.
+      EXPECT_GT(compressed.report.totals.shuffle_bytes_raw, 0u);
+      EXPECT_LT(compressed.report.totals.shuffle_bytes_wire,
+                compressed.report.totals.shuffle_bytes_raw);
     }
   }
 }

@@ -1,8 +1,8 @@
 // Cross-stack equivalence: the same randomized WordCount must produce
 // identical results through every execution path in the repository —
 //   (1) serial reference,
-//   (2) MPI-D via the mapred JobRunner (hash grouping),
-//   (3) MPI-D with streaming merge reduce,
+//   (2) MPI-D via the mapred JobRunner (merge reduce),
+//   (3) MPI-D via a one-round mapred JobChain (resident executor),
 //   (4) the MR-MPI-style baseline,
 //   (5) MiniHadoop (DFS + RPC control plane + HTTP shuffle).
 // This is the strongest correctness statement the repo makes: five
@@ -14,6 +14,7 @@
 
 #include "mpid/common/prng.hpp"
 #include "mpid/dfs/minidfs.hpp"
+#include "mpid/mapred/chain.hpp"
 #include "mpid/mapred/job.hpp"
 #include "mpid/mapred/mrmpi.hpp"
 #include "mpid/minihadoop/minihadoop.hpp"
@@ -63,15 +64,36 @@ Counts serial_reference(const std::string& text) {
   return counts;
 }
 
-Counts via_jobrunner(const std::string& text, bool streaming, int mappers,
-                     int reducers) {
-  auto job = wordcount_job();
-  job.streaming_merge_reduce = streaming;
-  const auto result =
-      mapred::JobRunner(mappers, reducers).run_on_text(job, text);
+Counts to_counts(const mapred::KvVec& outputs) {
   Counts counts;
-  for (const auto& [k, v] : result.outputs) counts[k] = std::stoull(v);
+  for (const auto& [k, v] : outputs) counts[k] = std::stoull(v);
   return counts;
+}
+
+Counts via_jobrunner(const std::string& text, int mappers, int reducers) {
+  return to_counts(mapred::JobRunner(mappers, reducers)
+                       .run_on_text(wordcount_job(), text)
+                       .outputs);
+}
+
+/// A one-stage, one-round chain: ingest is the map, the stage reduce sums.
+/// Chains take no combiner, so the reducers sum raw "1"s.
+Counts via_jobchain(const std::string& text, int partitions) {
+  const auto wc = wordcount_job();
+  mapred::ChainJob job;
+  job.ingest = wc.map;
+  mapred::ChainStage stage;
+  stage.name = "count";
+  stage.reduce = [reduce = wc.reduce](std::string_view key,
+                                      std::vector<std::string>& values,
+                                      mapred::ChainReduceContext& ctx) {
+    mapred::ReduceContext out(ctx.partition());
+    reduce(key, values, out);
+    for (const auto& [k, v] : out.take_emitted()) ctx.emit(k, v);
+  };
+  job.stages.push_back(std::move(stage));
+  return to_counts(
+      mapred::JobChain(partitions).run_on_text(job, text).outputs);
 }
 
 Counts via_mrmpi(const std::string& text, int ranks) {
@@ -140,8 +162,8 @@ TEST_P(CrossStackTest, FiveShufflesOneAnswer) {
   const int reducers = static_cast<int>(rng.next_in(1, 4));
 
   const auto reference = serial_reference(text);
-  EXPECT_EQ(via_jobrunner(text, false, mappers, reducers), reference);
-  EXPECT_EQ(via_jobrunner(text, true, mappers, reducers), reference);
+  EXPECT_EQ(via_jobrunner(text, mappers, reducers), reference);
+  EXPECT_EQ(via_jobchain(text, reducers), reference);
   EXPECT_EQ(via_mrmpi(text, mappers + 1), reference);
   EXPECT_EQ(via_minihadoop(text, std::max(1, mappers - 1), mappers + 1,
                            reducers),

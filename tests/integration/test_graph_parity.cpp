@@ -66,6 +66,21 @@ mapred::KvVec parse_parts(dfs::MiniDfs& fs,
   return pairs;
 }
 
+/// MiniHadoop's run of `job`: the same stages and statics over
+/// "/graph/in", one map and one reduce task per partition.
+minihadoop::MiniChainConfig hadoop_chain(const mapred::ChainJob& job,
+                                         const std::string& output_prefix) {
+  minihadoop::MiniChainConfig config;
+  config.ingest = job.ingest;
+  config.stages = job.stages;
+  config.static_input = job.static_input;
+  config.input_path = "/graph/in";
+  config.output_prefix = output_prefix;
+  config.map_tasks = kPartitions;
+  config.reduce_tasks = kPartitions;
+  return config;
+}
+
 struct ParityCase {
   const char* kind;
   core::ShuffleCompression compression;
@@ -119,15 +134,7 @@ TEST_P(GraphParityTest, RuntimesAgreeWithEachOtherAndTheReference) {
   dfs::MiniDfs fs(3);
   fs.create("/graph/in", text);
   minihadoop::MiniCluster cluster(fs, 3);
-  minihadoop::MiniChainConfig config;
-  auto hjob = make_job(param.kind, text);
-  config.ingest = hjob.ingest;
-  config.stages = hjob.stages;
-  config.static_input = hjob.static_input;
-  config.input_path = "/graph/in";
-  config.output_prefix = "/graph/out";
-  config.map_tasks = kPartitions;
-  config.reduce_tasks = kPartitions;
+  auto config = hadoop_chain(make_job(param.kind, text), "/graph/out");
   config.shuffle_compression = param.compression;
   config.map_threads = param.map_threads;
   const auto hadoop = cluster.run_chain(config);
@@ -160,16 +167,28 @@ TEST_P(GraphParityTest, RuntimesAgreeWithEachOtherAndTheReference) {
 }
 
 TEST(GraphParity, ChainedAndUnchainedAreByteIdenticalPerWorkload) {
+  // Unchained is MiniHadoop's round-trip chain: a fresh job per round,
+  // part files through the DFS, statics realigned every later round.
   const auto text = graph_text();
+  dfs::MiniDfs fs(3);
+  fs.create("/graph/in", text);
+  minihadoop::MiniCluster cluster(fs, 3);
   for (const char* kind : {"cc", "sssp", "triangle"}) {
-    mapred::JobChain chain(kPartitions);
-    const auto resident = chain.run_on_text(make_job(kind, text), text);
-    const auto ablation = chain.run_unchained_on_text(make_job(kind, text), text);
-    EXPECT_EQ(resident.outputs, ablation.outputs) << kind;
-    ASSERT_EQ(resident.rounds.size(), ablation.rounds.size()) << kind;
+    const auto job = make_job(kind, text);
+    const auto resident = mapred::JobChain(kPartitions).run_on_text(job, text);
+    auto config = hadoop_chain(job, std::string("/graph/roundtrip-") + kind);
+    config.resident = false;
+    const auto roundtrip = cluster.run_chain(config);
+    EXPECT_EQ(parse_parts(fs, roundtrip.output_files), resident.outputs)
+        << kind;
+    ASSERT_EQ(resident.rounds.size(), roundtrip.rounds.size()) << kind;
     for (std::size_t r = 0; r < resident.rounds.size(); ++r) {
       EXPECT_EQ(resident.rounds[r].counters.values(),
-                ablation.rounds[r].counters.values());
+                roundtrip.rounds[r].counters.values())
+          << kind << " round " << r;
+      EXPECT_EQ(resident.rounds[r].resident_bytes_out,
+                roundtrip.rounds[r].resident_bytes_out)
+          << kind << " round " << r;
     }
   }
 }
@@ -203,15 +222,8 @@ TEST(GraphParity, ReducerRestartMidChainKeepsBothRuntimesExact) {
     dfs::MiniDfs fs(3);
     fs.create("/graph/in", text);
     minihadoop::MiniCluster cluster(fs, 3);
-    minihadoop::MiniChainConfig config;
-    auto job = workloads::cc_job(text);
-    config.ingest = job.ingest;
-    config.stages = job.stages;
-    config.static_input = job.static_input;
-    config.input_path = "/graph/in";
-    config.output_prefix = "/graph/out-faulted";
-    config.map_tasks = kPartitions;
-    config.reduce_tasks = kPartitions;
+    auto config =
+        hadoop_chain(workloads::cc_job(text), "/graph/out-faulted");
     config.fault_injector = std::make_shared<fault::FaultInjector>(plan);
     const auto result = cluster.run_chain(config);
     EXPECT_EQ(parse_parts(fs, result.output_files), expected);

@@ -106,7 +106,6 @@ TEST_P(SpillParityTest, MpidBudgetedOutputIsByteIdentical) {
   mapred::JobDef job;
   job.map = wordcount_map();
   job.reduce = wordcount_reduce();
-  job.streaming_merge_reduce = true;  // the merge phase the store extends
   job.tuning.shuffle_compression = v.compression;
   job.tuning.map_threads = v.map_threads;
   mapred::JobRunner runner(/*mappers=*/4, /*reducers=*/2);
@@ -195,7 +194,6 @@ TEST(SpillParityTest, SortJobStaysByteIdenticalUnderBudget) {
   mapred::JobDef job;
   job.map = sort_map;
   job.reduce = sort_reduce;
-  job.streaming_merge_reduce = true;
   mapred::JobRunner runner(4, 2);
   const auto unbounded = runner.run_on_text(job, text);
   TempDir dir;
@@ -239,7 +237,6 @@ TEST(SpillParityTest, MpidReducerRestartRereadsSpilledRuns) {
   mapred::JobDef job;
   job.map = wordcount_map();
   job.reduce = wordcount_reduce();
-  job.streaming_merge_reduce = true;
   mapred::JobRunner runner(/*mappers=*/4, /*reducers=*/2);
   const auto clean = runner.run_on_text(job, text);
 

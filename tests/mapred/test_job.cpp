@@ -1,5 +1,6 @@
-// JobRunner tests: WordCount semantics, grouping, sorted reduce, input
-// splitting, and agreement between the MPI-D path and a serial reference.
+// JobRunner tests: WordCount semantics, grouping, the merge reduce's key
+// order, input splitting, and agreement between the MPI-D path and a
+// serial reference.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -8,8 +9,11 @@
 #include <filesystem>
 #include <functional>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "mpid/common/prng.hpp"
 #include "mpid/fault/fault.hpp"
@@ -144,16 +148,6 @@ TEST(JobRunner, MatchesSerialReferenceOnRandomCorpus) {
   }
 }
 
-TEST(JobRunner, UnsortedReduceStillCorrect) {
-  JobDef job = wordcount_job();
-  job.sorted_reduce = false;
-  const auto result = JobRunner(2, 2).run_on_text(job, "a b\nb c\n");
-  std::map<std::string, std::string> counts(result.outputs.begin(),
-                                            result.outputs.end());
-  EXPECT_EQ(counts.at("b"), "2");
-  EXPECT_EQ(counts.size(), 3u);
-}
-
 // --- the output contract -------------------------------------------------
 //
 // JobRunner outputs are sorted by (key, value) and equal a serial run of
@@ -233,15 +227,10 @@ TEST(JobRunnerOutput, SortedAndSerialForEveryReducerCountAndOrder) {
   const JobDef base = neighbour_job();
   const KvVec want = serial_reference(base, text);
   for (const int reducers : {1, 2, 3, 5}) {
-    for (const bool sorted : {true, false}) {
-      JobDef job = base;
-      job.sorted_reduce = sorted;
-      const auto result = JobRunner(3, reducers).run_on_text(job, text);
-      EXPECT_TRUE(std::is_sorted(result.outputs.begin(), result.outputs.end()))
-          << "R=" << reducers << " sorted=" << sorted;
-      EXPECT_EQ(result.outputs, want)
-          << "R=" << reducers << " sorted=" << sorted;
-    }
+    const auto result = JobRunner(3, reducers).run_on_text(base, text);
+    EXPECT_TRUE(std::is_sorted(result.outputs.begin(), result.outputs.end()))
+        << "R=" << reducers;
+    EXPECT_EQ(result.outputs, want) << "R=" << reducers;
   }
 }
 
@@ -285,6 +274,105 @@ TEST(JobRunnerOutput, BudgetedSortedReduceTakesTheMergerSpillTier) {
   }
   EXPECT_TRUE(fs::is_empty(dir));
   fs::remove_all(dir);
+}
+
+// --- key order ----------------------------------------------------------
+//
+// Every reduce runs Hadoop's merge phase, so each reducer calls reduce()
+// once per key, in strictly ascending key order, on every path a job can
+// take. The output contract above cannot show this: sort_run restores the
+// order of whatever a reducer emits.
+
+/// Runs `job` with its reduce wrapped to record each reducer's key
+/// sequence, and checks that every sequence is non-empty and strictly
+/// ascending.
+JobResult run_recording_keys(JobDef job, int mappers, int reducers,
+                             std::string_view text, const std::string& path) {
+  std::mutex mu;
+  std::vector<std::vector<std::string>> keys(
+      static_cast<std::size_t>(reducers));
+  job.reduce = [&mu, &keys, reduce = job.reduce](
+                   std::string_view key, std::span<const std::string> values,
+                   ReduceContext& ctx) {
+    {
+      std::lock_guard lock(mu);
+      keys[static_cast<std::size_t>(ctx.reducer_index())].emplace_back(key);
+    }
+    reduce(key, values, ctx);
+  };
+  auto result = JobRunner(mappers, reducers).run_on_text(job, text);
+  for (std::size_t r = 0; r < keys.size(); ++r) {
+    EXPECT_FALSE(keys[r].empty()) << path << " reducer " << r;
+    EXPECT_EQ(std::adjacent_find(keys[r].begin(), keys[r].end(),
+                                 std::greater_equal<>()),
+              keys[r].end())
+        << path << " reducer " << r;
+  }
+  return result;
+}
+
+TEST(JobRunner, ReduceSeesAscendingKeysOnEveryPath) {
+  namespace fs = std::filesystem;
+  constexpr int kMappers = 4;
+  constexpr int kReducers = 2;
+  const auto text = neighbour_corpus(11, 2000, 300);
+  const JobDef base = neighbour_job();
+  const KvVec want = serial_reference(base, text);
+
+  EXPECT_EQ(run_recording_keys(base, kMappers, kReducers, text, "plain")
+                .outputs,
+            want);
+
+  JobDef threaded = base;
+  threaded.tuning.map_threads = 4;
+  EXPECT_EQ(run_recording_keys(threaded, kMappers, kReducers, text,
+                               "map_threads=4")
+                .outputs,
+            want);
+
+  std::string dir = (fs::temp_directory_path() / "mpid-job-XXXXXX").string();
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  JobDef budgeted = base;
+  budgeted.tuning.memory_budget_bytes = 16 * 1024;
+  budgeted.tuning.spill_dir = dir;
+  budgeted.tuning.spill_page_bytes = core::Config::kMinSpillPageBytes;
+  budgeted.tuning.spill_merge_fanin = 2;
+  budgeted.tuning.partition_frame_bytes = 1024;
+  const auto spilled =
+      run_recording_keys(budgeted, kMappers, kReducers, text, "budgeted");
+  EXPECT_EQ(spilled.outputs, want);
+  EXPECT_GT(spilled.report.totals.bytes_spilled_disk, 0u);
+  EXPECT_TRUE(fs::is_empty(dir));
+  fs::remove_all(dir);
+
+  JobDef coded = base;
+  coded.tuning.coded_replication = 2;
+  const auto coded_result =
+      run_recording_keys(coded, kMappers, kReducers, text, "coded r=2");
+  EXPECT_EQ(coded_result.outputs, want);
+  EXPECT_GT(coded_result.report.totals.bytes_pre_coding, 0u);
+
+  JobDef aggregated = base;
+  aggregated.tuning.node_aggregation = true;
+  aggregated.tuning.ranks_per_node = 2;  // 4 mappers = 2 modeled nodes
+  const auto aggregated_result = run_recording_keys(
+      aggregated, kMappers, kReducers, text, "node aggregation");
+  EXPECT_EQ(aggregated_result.outputs, want);
+  EXPECT_GT(aggregated_result.report.totals.bytes_pre_node_agg, 0u);
+
+  // The crash lands mid-collect, before any reduce() call, so the
+  // restarted attempt's sequence is the only one recorded.
+  fault::FaultPlan plan;
+  plan.seed = 17;
+  plan.scripted_crashes.push_back({fault::TaskKind::kReduce, 1, 0, 2});
+  JobDef resilient = base;
+  resilient.tuning.resilient_shuffle = true;
+  resilient.tuning.fault_injector = std::make_shared<fault::FaultInjector>(plan);
+  resilient.tuning.partition_frame_bytes = 1024;
+  const auto recovered = run_recording_keys(resilient, kMappers, kReducers,
+                                            text, "resilient reducer crash");
+  EXPECT_EQ(recovered.outputs, want);
+  EXPECT_EQ(recovered.report.totals.task_restarts, 1u);
 }
 
 TEST(LineReaderT, HandlesEdgeCases) {

@@ -1,9 +1,12 @@
-// Streaming-merge reduce through the JobRunner: identical results to the
-// hash-grouping path, keys presented in order, bounded-memory semantics.
+// The merge reduce through the JobRunner: identical results to a serial
+// hash grouping, each key reduced once, many-run merges.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <mutex>
 #include <sstream>
+#include <unordered_map>
 
 #include "mpid/common/prng.hpp"
 #include "mpid/mapred/job.hpp"
@@ -11,7 +14,7 @@
 namespace mpid::mapred {
 namespace {
 
-JobDef wordcount(bool streaming) {
+JobDef wordcount() {
   JobDef job;
   job.map = [](std::string_view line, MapContext& ctx) {
     std::size_t start = 0;
@@ -33,7 +36,6 @@ JobDef wordcount(bool streaming) {
     for (const auto& v : values) total += std::stoull(v);
     return std::vector<std::string>{std::to_string(total)};
   };
-  job.streaming_merge_reduce = streaming;
   return job;
 }
 
@@ -52,19 +54,24 @@ std::string random_corpus(std::uint64_t seed) {
 
 TEST(StreamingMerge, MatchesHashGroupingPath) {
   const auto text = random_corpus(31337);
+  // The reference groups serially in a hash table, then sorts the output.
+  std::unordered_map<std::string, std::uint64_t> groups;
+  std::istringstream in(text);
+  std::string w;
+  while (in >> w) ++groups[w];
+  KvVec hashed;
+  for (const auto& [k, n] : groups) hashed.emplace_back(k, std::to_string(n));
+  std::sort(hashed.begin(), hashed.end());
   for (const auto& [mappers, reducers] :
        {std::pair{1, 1}, std::pair{3, 2}, std::pair{4, 3}}) {
-    const auto hashed =
-        JobRunner(mappers, reducers).run_on_text(wordcount(false), text);
-    const auto streamed =
-        JobRunner(mappers, reducers).run_on_text(wordcount(true), text);
-    EXPECT_EQ(streamed.outputs, hashed.outputs)
-        << mappers << "x" << reducers;
+    const auto merged =
+        JobRunner(mappers, reducers).run_on_text(wordcount(), text);
+    EXPECT_EQ(merged.outputs, hashed) << mappers << "x" << reducers;
   }
 }
 
 TEST(StreamingMerge, WorksWithoutCombiner) {
-  auto job = wordcount(true);
+  auto job = wordcount();
   job.combiner = nullptr;
   job.tuning.spill_threshold_bytes = 128;  // many frames, many runs
   const auto text = random_corpus(99);
@@ -80,7 +87,7 @@ TEST(StreamingMerge, WorksWithoutCombiner) {
 }
 
 TEST(StreamingMerge, EachKeyReducedExactlyOnce) {
-  auto job = wordcount(true);
+  auto job = wordcount();
   std::map<std::string, int> reduce_calls;
   std::mutex mu;
   job.reduce = [&](std::string_view key, std::span<const std::string> values,

@@ -137,6 +137,72 @@ TEST(MiniChain, AblationRoundTripsTheDfsButMatchesByteForByte) {
   EXPECT_EQ(ablation.resident_pairs_in, 0u);
 }
 
+/// A fixed 3-round chain over 8 keys whose static weight is added every
+/// round, so both the map and the reduce read the pinned tables.
+MiniChainConfig statics_config(bool resident) {
+  MiniChainConfig config;
+  config.ingest = [](std::string_view line, mapred::MapContext& ctx) {
+    const auto sp = line.find(' ');
+    if (sp != std::string_view::npos) {
+      ctx.emit(line.substr(0, sp), line.substr(sp + 1));
+    }
+  };
+  mapred::ChainStage stage;
+  stage.name = "accumulate";
+  stage.map = [](std::string_view key, std::string_view value,
+                 mapred::ChainMapContext& ctx) {
+    ctx.emit(key, ctx.statics(key) == nullptr ? "missing-static" : value);
+  };
+  stage.reduce = [](std::string_view key, std::vector<std::string>& values,
+                    mapred::ChainReduceContext& ctx) {
+    const auto* weights = ctx.statics(key);
+    long n = weights ? std::stol(weights->front()) : 0;
+    for (const auto& v : values) n += std::stol(v);
+    ctx.emit(key, std::to_string(n));
+  };
+  stage.max_rounds = 3;
+  config.stages.push_back(std::move(stage));
+  for (int i = 0; i < 8; ++i) {
+    config.static_input.emplace_back("key" + std::to_string(i),
+                                     std::to_string(10 * (i + 1)));
+  }
+  config.input_path = "/chain/statics.txt";
+  config.output_prefix = resident ? "/chain/statics-resident"
+                                  : "/chain/statics-dfs";
+  config.map_tasks = 3;
+  config.reduce_tasks = 3;
+  config.resident = resident;
+  return config;
+}
+
+TEST(MiniChain, RoundTripReshufflesStaticsEveryLaterRound) {
+  std::string text;
+  for (int i = 0; i < 8; ++i) text += "key" + std::to_string(i) + " 1\n";
+  dfs::MiniDfs fs(3);
+  fs.create("/chain/statics.txt", text);
+  MiniCluster cluster(fs, 3);
+  const auto resident = cluster.run_chain(statics_config(true));
+  const auto roundtrip = cluster.run_chain(statics_config(false));
+
+  // final = 1 + 3 rounds * weight, on both modes.
+  mapred::KvVec want;
+  for (int i = 0; i < 8; ++i) {
+    want.emplace_back("key" + std::to_string(i),
+                      std::to_string(1 + 3 * 10 * (i + 1)));
+  }
+  EXPECT_EQ(parse_parts(fs, resident.output_files), want);
+  EXPECT_EQ(parse_parts(fs, roundtrip.output_files), want);
+
+  // Resident mode pins the statics once. A fresh job per round has
+  // nothing pinned, so rounds 2..3 each realign the whole channel again.
+  ASSERT_EQ(roundtrip.rounds.size(), 3u);
+  EXPECT_GT(resident.static_bytes_pinned, 0u);
+  EXPECT_EQ(resident.static_bytes_reshuffled, 0u);
+  EXPECT_EQ(roundtrip.static_bytes_pinned, resident.static_bytes_pinned);
+  EXPECT_EQ(roundtrip.static_bytes_reshuffled,
+            (roundtrip.rounds.size() - 1) * roundtrip.static_bytes_pinned);
+}
+
 TEST(MiniChain, MatchesMpidJobChainByteForByte) {
   const auto text = countdown_text();
   dfs::MiniDfs fs(3);

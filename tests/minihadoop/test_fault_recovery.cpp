@@ -83,7 +83,7 @@ TEST(MiniHadoopFaults, ScriptedMapAndReduceCrashMidJob) {
     EXPECT_EQ(inj->log().count(fault::Kind::kTaskCrash), 2u);
     EXPECT_GE(inj->log().count(fault::Kind::kTaskReexec), 2u);
     EXPECT_GT(faulted.recovery_wall_ns, 0u);
-    EXPECT_EQ(clean.map_output_pairs, faulted.map_output_pairs);
+    EXPECT_EQ(clean.pairs_after_combine, faulted.pairs_after_combine);
   }
 }
 
@@ -114,7 +114,7 @@ TEST(MiniHadoopFaults, SpeculativeTwinOutrunsStraggler) {
   EXPECT_GE(inj->log().count(fault::Kind::kSpeculativeLaunch), 1u);
   EXPECT_GT(inj->log().count(fault::Kind::kTaskStraggle), 0u);
   // Exactly one attempt per task committed: counters must not double.
-  EXPECT_EQ(clean.map_output_pairs, faulted.map_output_pairs);
+  EXPECT_EQ(clean.pairs_after_combine, faulted.pairs_after_combine);
   EXPECT_EQ(clean.shuffle_requests, faulted.shuffle_requests);
 }
 
@@ -214,7 +214,7 @@ TEST(MiniHadoopFaults, SilentTrackerIsDeclaredLostAndDrained) {
   EXPECT_GE(faulted.trackers_timed_out, 1u);
   EXPECT_GE(faulted.map_reexecutions + faulted.reduce_reexecutions, 1u);
   EXPECT_GE(inj->log().count(fault::Kind::kLostTracker), 1u);
-  EXPECT_EQ(clean.map_output_pairs, faulted.map_output_pairs);
+  EXPECT_EQ(clean.pairs_after_combine, faulted.pairs_after_combine);
 }
 
 TEST(MiniHadoopFaults, TaskExhaustingAttemptsFailsTheJob) {

@@ -133,7 +133,8 @@ TEST(MiniHadoop, ThreadedMapTasksMatchSequentialExactly) {
     // Byte-level accounting is exact across thread counts that chunk the
     // split (threads=1 maps it as one chunk, a task-long spill cadence,
     // so its combine effectiveness — and hence byte counts — differ).
-    EXPECT_EQ(par_summary.map_output_pairs, two_summary.map_output_pairs)
+    EXPECT_EQ(par_summary.pairs_after_combine,
+              two_summary.pairs_after_combine)
         << label;
     EXPECT_EQ(par_summary.shuffle_bytes_wire, two_summary.shuffle_bytes_wire)
         << label;
@@ -191,7 +192,7 @@ TEST(MiniHadoop, CombinerShrinksShuffleVolume) {
   const auto raw = cluster.run(base);
   const auto comb = cluster.run(combined);
   EXPECT_LT(comb.shuffled_bytes, raw.shuffled_bytes / 2);
-  EXPECT_LT(comb.map_output_pairs, raw.map_output_pairs / 2);
+  EXPECT_LT(comb.pairs_after_combine, raw.pairs_after_combine / 2);
   EXPECT_EQ(parse_outputs(fs, raw.output_files),
             parse_outputs(fs, comb.output_files));
 }
@@ -207,7 +208,7 @@ TEST(MiniHadoop, EmptyInputProducesEmptyOutput) {
   job.map_tasks = 2;
   job.reduce_tasks = 2;
   const auto summary = cluster.run(job);
-  EXPECT_EQ(summary.map_output_pairs, 0u);
+  EXPECT_EQ(summary.pairs_after_combine, 0u);
   EXPECT_TRUE(parse_outputs(fs, summary.output_files).empty());
 }
 
