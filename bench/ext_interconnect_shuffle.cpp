@@ -26,7 +26,6 @@
 #include "mpid/common/table.hpp"
 #include "mpid/common/units.hpp"
 #include "mpid/hadoop/cluster.hpp"
-#include "mpid/mpidsim/system.hpp"
 #include "mpid/proto/profiles.hpp"
 #include "mpid/sim/engine.hpp"
 #include "mpid/workloads/presets.hpp"
@@ -151,43 +150,5 @@ int main() {
       "overlaps the map wave); compression attacks the software-level\n"
       "bottleneck — bytes through Jetty — that the wire upgrade cannot.\n",
       wc_sample.ratio, gige_speedup);
-
-  std::printf(
-      "\n== Coded shuffle instead of a faster wire: MPI-D expansion job "
-      "30 GB, 2 reducers ==\n\n");
-
-  // The third communication-side lever (DESIGN.md §15): keep the slow
-  // wire but run every map task r=2 times and ship XOR-coded multicast
-  // rounds, halving the fabric bytes. Same model as bench/ext_coded_shuffle.
-  common::TextTable coded_table({"interconnect", "map phase r=1",
-                                 "map phase r=2", "map wave bound by"});
-  for (const auto& profile : proto::all_interconnects()) {
-    double phases[2] = {0, 0};
-    for (const int r : {1, 2}) {
-      auto sys = workloads::fig6_mpid_system();
-      sys.fabric = profile.fabric;
-      sys.reducers = 2;
-      sys.coded_replication = r;
-      auto job = workloads::mpid_wordcount_job(30 * GiB);
-      job.map_output_ratio = 2.0;
-      sim::Engine engine;
-      mpidsim::MpidSystem system(engine, sys);
-      phases[r - 1] = system.run(job).map_phase_end.to_seconds();
-    }
-    coded_table.add_row(
-        {profile.name, common::strformat("%.0f s", phases[0]),
-         common::strformat("%.0f s", phases[1]),
-         phases[1] < phases[0] ? "wire (coding pays)"
-                               : "compute (coding costs)"});
-  }
-  std::printf("%s\n", coded_table.render().c_str());
-  std::printf(
-      "Reading: on GigE the r=1 map wave stalls on the reducer downlinks\n"
-      "and r=2 coding buys the stall back with spare map cores, moving the\n"
-      "slow wire to the same compute-bound operating point the IB-class\n"
-      "fabric reaches uncoded; on the faster wires the map wave was never\n"
-      "fabric-bound and the doubled scan/map is pure overhead. Like the\n"
-      "codec, coding substitutes for bandwidth only where bandwidth is\n"
-      "the binding constraint.\n");
   return gige_speedup >= 1.5 ? 0 : 1;
 }

@@ -239,45 +239,6 @@ BENCHMARK(BM_MpidWordCountNodeAgg)
     ->ArgNames({"ranks_per_node"})
     ->Unit(benchmark::kMillisecond);
 
-/// WordCount through the coded shuffle (DESIGN.md §15) at replication r:
-/// every map task runs r times and home-group partitions ship as
-/// XOR-coded multicast rounds. coded_encode_s / coded_decode_s over the
-/// pre/post-coding bytes calibrate the mpidsim decode-rate constant
-/// (SystemSpec::coded_decode_bytes_per_second); fabric_bytes shows the
-/// traffic cut bought with the r x map compute.
-void BM_MpidWordCountCoded(benchmark::State& state) {
-  const auto replication = static_cast<std::size_t>(state.range(0));
-  workloads::TextSpec text_spec;
-  text_spec.vocabulary = 1000;
-  const auto text = workloads::generate_text(text_spec, 4 * 1024 * 1024, 44);
-  const mapred::JobRunner runner(4, 2);  // r=2 -> one group of 2 reducers
-  auto job = wordcount(false);  // no combiner: sub-splits stay comparable
-  job.tuning.coded_replication = replication;
-
-  core::Stats totals;
-  for (auto _ : state) {
-    const auto result = runner.run_on_text(job, text);
-    benchmark::DoNotOptimize(result.outputs.size());
-    totals = result.report.totals;
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(text.size()));
-  state.counters["fabric_bytes"] = static_cast<double>(totals.bytes_sent);
-  state.counters["bytes_pre_coding"] =
-      static_cast<double>(totals.bytes_pre_coding);
-  state.counters["bytes_post_coding"] =
-      static_cast<double>(totals.bytes_post_coding);
-  state.counters["coded_encode_s"] =
-      static_cast<double>(totals.coded_encode_ns) * 1e-9;
-  state.counters["coded_decode_s"] =
-      static_cast<double>(totals.coded_decode_ns) * 1e-9;
-}
-BENCHMARK(BM_MpidWordCountCoded)
-    ->Arg(1)
-    ->Arg(2)
-    ->ArgNames({"replication"})
-    ->Unit(benchmark::kMillisecond);
-
 /// The same WordCount over the resilient shuffle while the transport
 /// drops the given permille of data frames: the price of MPI-D fault
 /// tolerance, with the recovery counters in the JSON artifact.

@@ -38,7 +38,7 @@ BUILD_DIR=${1:-build}
 BENCHES=(micro_mpid micro_shuffle_pipeline micro_kvtable micro_codec micro_threads micro_spill)
 # Table benches that write their BENCH_<name>.json themselves (to cwd,
 # which is the repo root here) and gate on their own exit code.
-TABLE_BENCHES=(ext_node_agg ext_coded_shuffle ext_graph)
+TABLE_BENCHES=(ext_node_agg ext_graph)
 # The regression-gated subset: shuffle-engine hot paths, end to end.
 CHECK_BENCHES=(micro_mpid micro_kvtable)
 CHECK_TOLERANCE=1.10  # fail on >10% real_time regression

@@ -37,12 +37,11 @@ for suite in test_common test_shuffle test_store test_mpid test_minihadoop; do
   "$BUILD_DIR/tests/$suite" "$@"
 done
 
-echo "=== ASan: test_integration (spill + coded parity) ==="
-# CodedParity drives the XOR encode/decode, the replica pipelines and the
-# multicast staging end to end — including the hostile decode paths the
-# coded-header fuzz hits at the unit level in test_shuffle — composed
-# with compression, node aggregation, threads and fault recovery.
+echo "=== ASan: test_integration (spill + composition parity) ==="
+# CompositionParity drives the codec, the node combine tree and the
+# WorkerPool lanes end to end, across every cell of compression x node
+# aggregation x map threads.
 "$BUILD_DIR/tests/test_integration" \
-  --gtest_filter='*SpillParity*:*CodedParity*' "$@"
+  --gtest_filter='*SpillParity*:*CompositionParity*' "$@"
 
 echo "ASan check passed."

@@ -32,11 +32,12 @@ for suite in test_minimpi test_mpid test_shuffle test_common test_minihadoop; do
   "$BUILD_DIR/tests/$suite" "$@"
 done
 
-# Coded shuffle runs r replica map pipelines through the WorkerPool when
-# map_threads > 1 and multicasts one buffer to r reducer threads — the
-# parity matrix exercises both compositions under instrumentation.
-echo "=== TSan: test_integration (coded parity) ==="
-"$BUILD_DIR/tests/test_integration" --gtest_filter='*CodedParity*' "$@"
+# The composition matrix runs WorkerPool lanes (map_threads = 4) with the
+# codec on and with node aggregation, so the lanes' counter commits, the
+# sequencer and the node exchange all run under instrumentation.
+echo "=== TSan: test_integration (composition parity) ==="
+"$BUILD_DIR/tests/test_integration" \
+  --gtest_filter='*CompositionParity*' "$@"
 
 # 150 plans per workload (wordcount, sort, cc, sssp) and 100 of the
 # threaded slice (wordcount, cc at map_threads = 4) keep the instrumented

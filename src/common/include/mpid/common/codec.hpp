@@ -7,7 +7,7 @@
 // stage the paper measures as dominant (Figure 1, Table I) is therefore
 // mostly redundant bytes on the wire — trading cheap CPU for shuffle
 // bandwidth is the same lever Hadoop exposes as
-// `mapred.compress.map.output` and Coded MapReduce formalizes.
+// `mapred.compress.map.output`.
 //
 // The codec is frame-structure-aware rather than generic:
 //

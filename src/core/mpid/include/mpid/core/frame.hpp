@@ -1,8 +1,7 @@
 // The MPI-D data-channel frame (DESIGN.md §6).
 //
-// Every data frame a mapper ships — a realigned KvList frame, its codec
-// frame, or a coded multicast payload — is the payload followed by a
-// 16-byte trailer:
+// Every data frame a mapper ships — a realigned KvList frame or its
+// codec frame — is the payload followed by a 16-byte trailer:
 //
 //   payload | u32 incarnation | u32 seq (top bit: codec) | u64 checksum
 //

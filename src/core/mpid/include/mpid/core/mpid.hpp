@@ -51,7 +51,6 @@
 #include "mpid/fault/fault.hpp"
 #include "mpid/minimpi/comm.hpp"
 #include "mpid/shuffle/buffer.hpp"
-#include "mpid/shuffle/coded.hpp"
 #include "mpid/shuffle/compress.hpp"
 #include "mpid/store/budget.hpp"
 #include "mpid/shuffle/engine.hpp"
@@ -89,47 +88,6 @@ class MpiD {
   /// send() mid-batch; finalize() as usual afterwards.
   std::uint64_t run_map_parallel(std::size_t chunk_count,
                                  const shuffle::ParallelMapper::ChunkFn& chunk_fn);
-
-  // --- coded shuffle (Config::coded_replication > 1; DESIGN.md §15) ---
-
-  /// Pair emitter handed to the coded map callbacks.
-  using CodedEmitFn =
-      std::function<void(std::string_view key, std::string_view value)>;
-  /// Maps one of the r fixed sub-splits of a task's input: called as
-  /// fn(sub, emit) and must emit exactly the pairs of sub-split `sub` —
-  /// deterministically, because the home-group reducers re-run the same
-  /// callback to regenerate these frames as side information.
-  using CodedSubMapFn = std::function<void(int sub, const CodedEmitFn&)>;
-  /// Reducer-side replica of mapper `mapper`'s sub-split `sub` (same
-  /// determinism contract; the runner replays the mapper's input split).
-  using CodedReplicaMapFn =
-      std::function<void(int mapper, int sub, const CodedEmitFn&)>;
-
-  /// Coded MPI_D_Send batch — mapper only, replaces send() when
-  /// coded_replication > 1. Runs the task's r sub-splits through r
-  /// private deterministic pipelines (parallel across the worker pool
-  /// when map_threads > 1); the realigned frames stay staged until
-  /// finalize(), which ships off-home partitions point-to-point and the
-  /// home group's aligned diagonal streams as XOR-coded multicast
-  /// rounds. Returns the pairs emitted (also counted into pairs_sent).
-  std::uint64_t run_map_coded(const CodedSubMapFn& sub_map);
-
-  /// The reducer's redundant map work — reducer only, must run BEFORE the
-  /// first recv when coded_replication > 1. Replays sub-splits i != (this
-  /// reducer's group position) of every home-group map task through the
-  /// identical pipeline: the diagonal frames become the side information
-  /// that decodes incoming coded payloads, and the frames of this
-  /// reducer's own partition enter the delivery stream locally (they
-  /// never cross the fabric — part of the structural cut). All replica
-  /// pipelines account into scratch counters, NOT stats(): the redundant
-  /// compute is charged by the cluster model, and folding it here would
-  /// double-count the dataflow counters parity tests assert on.
-  void run_reduce_side_map(const CodedReplicaMapFn& replica_map);
-
-  /// The coded placement (valid whenever coded_replication >= 1).
-  const shuffle::CodedPlacement& coded_placement() const noexcept {
-    return placement_;
-  }
 
   /// MPI_D_Recv — reducer only. Produces the next pair in streaming order;
   /// returns false once every mapper's lane was sealed and delivered and
@@ -215,12 +173,10 @@ class MpiD {
   /// codec-framed) partition frame over the data communicator, accounting
   /// frames_sent, bytes_sent and flush_wait_ns.
   void transport_send(std::size_t partition, std::vector<std::byte> frame);
-  /// Appends the next trailer of the `count` lanes starting at
-  /// `first_lane` (they advance in lockstep: one lane, or a coded group)
-  /// and, under the resilient shuffle, retains a copy in each lane.
-  /// Counts the frame and its payload bytes as sent.
-  void stamp_frame(std::vector<std::byte>& frame, std::size_t first_lane,
-                   std::size_t count);
+  /// Appends lane `lane_idx`'s next trailer and, under the resilient
+  /// shuffle, retains a copy in the lane. Counts the frame and its
+  /// payload bytes as sent.
+  void stamp_frame(std::vector<std::byte>& frame, std::size_t lane_idx);
   /// Moves one frame into the partition's bounded window of owned
   /// nonblocking sends, first waiting out the oldest send when the window
   /// is full (kMaxInflightFrames in mpid.cpp).
@@ -251,7 +207,7 @@ class MpiD {
   /// Throws fault::TaskCrash when an injected crash tick fires.
   void receive_one();
   /// Moves a sealed, complete lane's payloads into collected_ in
-  /// sequence order (coded lanes decode here) and ACKs it.
+  /// sequence order (codec-decoded) and ACKs it.
   void deliver_lane(int mapper);
   /// Mapper-side lane, buffer and encoder reset (restart and next round).
   void reset_send_side();
@@ -293,59 +249,13 @@ class MpiD {
   /// the aggregated frames.
   void node_agg_finalize();
 
-  // --- coded shuffle (Config::coded_replication > 1) ---
-  bool coded() const noexcept { return config_.coded_replication > 1; }
-  /// The replication unit of mapper m: the mapper itself, or its node
-  /// under node aggregation (the whole node codes as one stream then).
-  int unit_of_mapper(int m) const noexcept {
-    return node_agg() ? m / ranks_per_node() : m;
-  }
-  /// Reducer view: true when mapper rank 1+m ships coded payloads to this
-  /// reducer (its unit's home group is this reducer's group). Coded-ness
-  /// is decided by topology alone — a home unit's fabric traffic toward
-  /// its group is exclusively coded rounds.
-  bool is_coded_source(int m) const noexcept {
-    return coded() && placement_.home_group(
-                          static_cast<std::size_t>(unit_of_mapper(m))) ==
-                          placement_.group_of_reducer(
-                              static_cast<std::size_t>(comm_.rank()) - 1 -
-                              static_cast<std::size_t>(config_.mappers));
-  }
-  /// One frame sequence per partition (coded staging matrix row).
-  using PartitionStreams = std::vector<std::vector<std::vector<std::byte>>>;
-  /// Runs one deterministic coded sub-pipeline (buffer -> combine ->
-  /// partition -> realign; no codec, no budget — byte-identical on every
-  /// rank that replays it) and feeds its frames to `sink`.
-  void run_coded_pipeline(
-      const std::function<void(const CodedEmitFn&)>& body,
-      shuffle::ShuffleCounters* counters,
-      shuffle::SpillEncoder::FrameSink sink);
-  /// Resolves this unit's canonical per-(sub, partition) frame matrix: the
-  /// mapper's own staged streams, or the node's aggregated streams under
-  /// node aggregation (leader only; members forward and return empty).
-  std::vector<PartitionStreams> coded_unit_matrix();
-  /// Ships the staged coded matrix: off-home partitions point-to-point,
-  /// home diagonal streams as XOR-coded multicast rounds.
-  void coded_mapper_finalize();
-  /// One coded round to every reducer of this unit's home group: one wire
-  /// transmission (bytes_sent charged once), one retained framed buffer
-  /// per group lane under the resilient shuffle (the lanes advance in
-  /// lockstep because home lanes carry nothing but coded rounds).
-  void coded_multicast_send(std::vector<std::byte> payload);
-  /// Reducer: codec-decodes (when compression is on) and XOR-decodes one
-  /// coded payload from `unit` against the locally recomputed side terms.
-  /// Empty result: this reducer's stream had drained by that round.
-  std::vector<std::byte> decode_coded_payload(int unit,
-                                              std::vector<std::byte> payload);
-
   /// The mapper's lazily-created worker pool, sized by
-  /// Config::map_threads; behind run_map_parallel() and run_map_coded().
+  /// Config::map_threads; behind run_map_parallel().
   shuffle::WorkerPool& worker_pool();
 
   /// The one reception path behind every recv_* flavor: the next decoded
-  /// frame of the round — this reducer's local coded frames first, then
-  /// the delivered lanes, receiving until one is. False once every lane
-  /// was delivered and drained.
+  /// frame of the delivered lanes, receiving until one is. False once
+  /// every lane was delivered and drained.
   bool next_frame(std::vector<std::byte>& frame);
   /// Pulls the next frame and stages it as the delivery frame.
   /// Returns false at end of stream.
@@ -405,14 +315,6 @@ class MpiD {
   std::uint32_t incarnation_ = 0;  // mapper attempt stamped into trailers
   int attempt_ = 0;
 
-  /// Coded placement arithmetic (identity when coded_replication == 1).
-  shuffle::CodedPlacement placement_;
-  /// Mapper-side coded staging: frames of sub-pipeline `sub` for
-  /// `partition`, in flush order — coded_streams_[sub][partition][k].
-  /// Nothing leaves the rank until finalize(), which makes an injected
-  /// map crash trivially recoverable (restart just discards the stage).
-  std::vector<PartitionStreams> coded_streams_;
-
   /// Node-aggregation staging (Config::node_aggregation): every mapper —
   /// leader or not — parks its realigned frames here instead of sending,
   /// and nothing leaves the rank until finalize(). That makes the intra-
@@ -435,22 +337,6 @@ class MpiD {
   /// order; next_frame drains this.
   std::deque<std::vector<std::byte>> collected_;
 
-  /// Reducer-side coded state (coded_replication > 1), built by
-  /// run_reduce_side_map and kept across reducer restarts (the replica
-  /// map work is deterministic, so a re-pulled lane decodes against the
-  /// same side terms).
-  struct CodedUnitState {
-    /// side[sub][round]: the diagonal frame of group position `sub` at
-    /// coded round `round` (empty vector slots never exist; a drained
-    /// stream just ends). side[own position] stays empty.
-    std::vector<std::vector<std::vector<std::byte>>> side;
-  };
-  std::map<int, CodedUnitState> coded_units_;  // home unit -> side terms
-  /// Frames of this reducer's own partition recomputed from home units'
-  /// replica sub-pipelines: delivered locally (copied — restart_reducer
-  /// rewinds the cursor), never counted as network traffic.
-  std::vector<std::vector<std::byte>> coded_local_;
-  std::size_t coded_local_cursor_ = 0;
   std::optional<std::uint64_t> crash_tick_;  // injected reducer crash plan
   std::uint64_t progress_ticks_ = 0;
 

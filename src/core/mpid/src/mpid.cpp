@@ -63,12 +63,6 @@ MpiD::MpiD(minimpi::Comm& comm, Config config)
         "MpiD: communicator size must be 1 (master) + mappers + reducers");
   }
   config_.validate();  // shared shuffle knobs (spill/frame/compression)
-  placement_.replication = std::max<std::size_t>(config_.coded_replication, 1);
-  placement_.reducers = static_cast<std::size_t>(config_.reducers);
-  if (config_.coded_replication > 1) {
-    shuffle::CodedPlacement::validate(
-        config_.coded_replication, static_cast<std::size_t>(config_.reducers));
-  }
   pool_ = config_.frame_pool ? config_.frame_pool
                              : common::FramePool::process_pool();
   // Resolve the two-tier store's arbiter: an explicitly shared budget wins
@@ -196,11 +190,8 @@ void MpiD::ensure_role(Role expected, const char* what) const {
 
 void MpiD::send(std::string_view key, std::string_view value) {
   // One predictable branch per emit; the error path stays out of line.
-  if (role_ != Role::kMapper || finalized_ || coded()) [[unlikely]] {
+  if (role_ != Role::kMapper || finalized_) [[unlikely]] {
     ensure_role(Role::kMapper, "send (MPI_D_Send)");
-    throw std::logic_error(
-        "MpiD: send (MPI_D_Send) is unavailable when coded_replication > 1 "
-        "— run the task's sub-splits through run_map_coded instead");
   }
   ++stats_.pairs_sent;
   map_buffer_->append(key, value);
@@ -220,11 +211,6 @@ shuffle::WorkerPool& MpiD::worker_pool() {
 std::uint64_t MpiD::run_map_parallel(
     std::size_t chunk_count, const shuffle::ParallelMapper::ChunkFn& chunk_fn) {
   ensure_role(Role::kMapper, "run_map_parallel");
-  if (coded()) {
-    throw std::logic_error(
-        "MpiD: run_map_parallel is unavailable when coded_replication > 1 — "
-        "run_map_coded parallelizes across the r sub-pipelines instead");
-  }
   shuffle::ParallelMapper::Setup setup;
   setup.layout = shuffle::Layout::kKvList;
   setup.partitions = static_cast<std::uint32_t>(config_.reducers);
@@ -270,29 +256,25 @@ void MpiD::drain_inflight(std::size_t partition) {
 
 void MpiD::transport_send(std::size_t partition, std::vector<std::byte> frame) {
   const std::uint64_t start = now_ns();
-  stamp_frame(frame, partition, 1);
+  stamp_frame(frame, partition);
   isend_windowed(partition, std::move(frame));
   stats_.flush_wait_ns += now_ns() - start;
 }
 
-void MpiD::stamp_frame(std::vector<std::byte>& frame, std::size_t first_lane,
-                       std::size_t count) {
+void MpiD::stamp_frame(std::vector<std::byte>& frame, std::size_t lane_idx) {
   ++stats_.frames_sent;
   stats_.bytes_sent += frame.size();  // payload bytes, as bytes_received
   // The payload is already codec-framed when compression is on: the
   // checksum covers the compressed bytes, so a retransmit re-ships the
   // identical buffer.
-  append_frame_trailer(frame, incarnation_, lanes_[first_lane].next_seq,
-                       compression_on());
-  for (std::size_t i = first_lane; i < first_lane + count; ++i) {
-    ++lanes_[i].next_seq;
-    // Retain a copy until the master's ack: a restarted reducer can
-    // re-pull the whole lane, a NACK any single frame.
-    if (resilient()) {
-      auto copy = pool_->acquire(frame.size());
-      copy.assign(frame.begin(), frame.end());
-      lanes_[i].retained.push_back(std::move(copy));
-    }
+  auto& lane = lanes_[lane_idx];
+  append_frame_trailer(frame, incarnation_, lane.next_seq++, compression_on());
+  // Retain a copy until the master's ack: a restarted reducer can re-pull
+  // the whole lane, a NACK any single frame.
+  if (resilient()) {
+    auto copy = pool_->acquire(frame.size());
+    copy.assign(frame.begin(), frame.end());
+    lane.retained.push_back(std::move(copy));
   }
 }
 
@@ -311,13 +293,6 @@ void MpiD::isend_windowed(std::size_t partition, std::vector<std::byte> frame) {
 }
 
 bool MpiD::next_frame(std::vector<std::byte>& frame) {
-  if (coded_local_cursor_ < coded_local_.size()) {
-    // Local delivery first: this reducer's own partition of its replica
-    // map work never crossed the fabric. Copied, not moved —
-    // restart_reducer() rewinds the cursor and re-delivers.
-    frame = coded_local_[coded_local_cursor_++];
-    return true;
-  }
   while (collected_.empty()) {
     // Every lane delivered: nothing else is owed this round, so stop
     // receiving (the finalize ack must not be stolen).
@@ -400,10 +375,6 @@ void MpiD::next_round() {
   if (finalized_) {
     throw std::logic_error("MpiD: next_round called after finalize");
   }
-  if (coded()) {
-    throw std::logic_error(
-        "MpiD: next_round is incompatible with coded_replication > 1");
-  }
   if (rounds_completed_ + 2 >
       static_cast<int>(config_.resident_rounds)) {
     throw std::logic_error(
@@ -425,30 +396,17 @@ void MpiD::round_barrier(bool final) {
 
   switch (role_) {
     case Role::kMapper: {
-      if (coded()) {
-        // The coded matrix ships whole from here: off-home partitions
-        // point-to-point, home diagonal streams as XOR multicast rounds.
-        // (run_map_coded staged everything; the regular encoder_ pipeline
-        // carried no pairs, so its flush would be a no-op anyway.)
-        coded_mapper_finalize();
-        if (node_agg() && mapper_index() % ranks_per_node() != 0) {
+      encoder_->spill(*map_buffer_);
+      encoder_->flush_all();
+      if (node_agg()) {
+        node_agg_finalize();
+        if (mapper_index() % ranks_per_node() != 0) {
+          // Non-leaders shipped nothing across the fabric: no windows to
+          // drain, no lanes to seal — just the done handshake. The recv
+          // is source- and tag-selective, so nothing else can steal it.
           data_comm_.send_value(0, kDoneTag, stats_);
           (void)data_comm_.recv_value<int>(0, kAckTag);
           break;
-        }
-      } else {
-        encoder_->spill(*map_buffer_);
-        encoder_->flush_all();
-        if (node_agg()) {
-          node_agg_finalize();
-          if (mapper_index() % ranks_per_node() != 0) {
-            // Non-leaders shipped nothing across the fabric: no windows to
-            // drain, no lanes to seal — just the done handshake. The recv
-            // is source- and tag-selective, so nothing else can steal it.
-            data_comm_.send_value(0, kDoneTag, stats_);
-            (void)data_comm_.recv_value<int>(0, kAckTag);
-            break;
-          }
         }
       }
       // Close every in-flight window before the SEALs: a SEAL cannot
@@ -461,7 +419,7 @@ void MpiD::round_barrier(bool final) {
     }
     case Role::kReducer: {
       if (lanes_delivered_ != lanes_expected() || delivery_pending() ||
-          !collected_.empty() || coded_local_cursor_ < coded_local_.size()) {
+          !collected_.empty()) {
         throw std::logic_error(
             "MpiD: reducer must drain recv() before finalize");
       }
@@ -603,314 +561,6 @@ void MpiD::node_agg_finalize() {
     }
   }
   agg.finish();
-}
-
-// ---------------------------------------------------------- coded shuffle --
-
-void MpiD::run_coded_pipeline(
-    const std::function<void(const CodedEmitFn&)>& body,
-    shuffle::ShuffleCounters* counters, shuffle::SpillEncoder::FrameSink sink) {
-  // Every knob that could perturb frame boundaries is pinned — no codec,
-  // no budget-driven early drains, no pool re-arming, the configured flush
-  // cadence — so any rank replaying the same records produces the byte-
-  // identical frame sequence the XOR coding aligns on.
-  shuffle::CombineRunner combine(config_.combiner, counters);
-  shuffle::MapOutputBuffer buffer(config_, &combine, counters, nullptr);
-  shuffle::SpillEncoder::Setup setup;
-  setup.layout = shuffle::Layout::kKvList;
-  setup.partitions = static_cast<std::uint32_t>(config_.reducers);
-  setup.partitioner = shuffle::Partitioner(
-      static_cast<std::uint32_t>(config_.reducers), config_.partitioner);
-  setup.counters = counters;
-  setup.sink = std::move(sink);
-  shuffle::SpillEncoder encoder(config_, std::move(setup));
-  const CodedEmitFn emit = [&](std::string_view key, std::string_view value) {
-    buffer.append(key, value);
-    if (buffer.should_spill()) encoder.spill(buffer);
-  };
-  body(emit);
-  encoder.spill(buffer);
-  encoder.flush_all();
-}
-
-std::uint64_t MpiD::run_map_coded(const CodedSubMapFn& sub_map) {
-  ensure_role(Role::kMapper, "run_map_coded");
-  if (!coded()) {
-    throw std::logic_error(
-        "MpiD: run_map_coded requires coded_replication > 1");
-  }
-  const std::size_t r = config_.coded_replication;
-  coded_streams_.assign(
-      r, PartitionStreams(static_cast<std::size_t>(config_.reducers)));
-  // Each sub-pipeline is private (own buffer, combine table, encoder,
-  // scratch counters, staging row), so the r sub-splits map in parallel
-  // on the worker pool with no shared mutable state; the scratch blocks
-  // merge sequentially after the pool's join.
-  std::vector<shuffle::ShuffleCounters> scratch(r);
-  std::vector<std::uint64_t> pairs(r, 0);
-  const auto run_sub = [&](std::size_t sub, std::size_t /*worker*/) {
-    run_coded_pipeline(
-        [&](const CodedEmitFn& emit) {
-          sub_map(static_cast<int>(sub),
-                  [&](std::string_view key, std::string_view value) {
-                    ++pairs[sub];
-                    emit(key, value);
-                  });
-        },
-        &scratch[sub],
-        [this, sub](std::uint32_t partition, std::vector<std::byte> frame,
-                    bool /*codec_framed: never — no codec in the pipeline*/) {
-          coded_streams_[sub][partition].push_back(std::move(frame));
-        });
-  };
-  if (config_.map_threads > 1) {
-    worker_pool().run(r, run_sub);
-  } else {
-    for (std::size_t sub = 0; sub < r; ++sub) run_sub(sub, 0);
-  }
-  std::uint64_t total = 0;
-  for (std::size_t sub = 0; sub < r; ++sub) {
-    stats_.merge(scratch[sub]);
-    total += pairs[sub];
-  }
-  stats_.pairs_sent += total;
-  return total;
-}
-
-std::vector<MpiD::PartitionStreams> MpiD::coded_unit_matrix() {
-  if (!node_agg()) return std::move(coded_streams_);
-  const int self = mapper_index();
-  const int leader = (self / ranks_per_node()) * ranks_per_node();
-  const std::size_t r = config_.coded_replication;
-  const auto partitions = static_cast<std::size_t>(config_.reducers);
-  if (self != leader) {
-    // Forward each sub's streams in canonical (partition, index) order on
-    // the reliable intra-node tag; the empty payload closes one sub.
-    for (std::size_t sub = 0; sub < r; ++sub) {
-      for (auto& stream : coded_streams_[sub]) {
-        for (auto& frame : stream) {
-          data_comm_.send_bytes(1 + leader, kNodeTag, frame);
-        }
-      }
-      data_comm_.send_bytes(1 + leader, kNodeTag, {});
-    }
-    coded_streams_.clear();
-    return {};
-  }
-  // Leader: merge the node's member streams per sub through the same
-  // deterministic combine tree the home-group reducers will replay —
-  // fixed member order (self first = ascending index), canonical frame
-  // order within a member, no codec, no budget — so the aggregated
-  // matrix is reproducible byte for byte.
-  std::vector<PartitionStreams> matrix(r, PartitionStreams(partitions));
-  const int node_end = std::min(leader + ranks_per_node(), config_.mappers);
-  std::vector<std::byte> msg;
-  for (std::size_t sub = 0; sub < r; ++sub) {
-    shuffle::NodeAggregator::Setup setup;
-    setup.out_layout = shuffle::Layout::kKvList;
-    setup.partitions = static_cast<std::uint32_t>(config_.reducers);
-    setup.partitioner = shuffle::Partitioner(
-        static_cast<std::uint32_t>(config_.reducers), config_.partitioner);
-    setup.combine = &*combine_runner_;
-    setup.counters = &stats_;
-    setup.sink = [&matrix, sub](std::uint32_t partition,
-                                std::vector<std::byte> frame, bool) {
-      matrix[sub][partition].push_back(std::move(frame));
-    };
-    shuffle::NodeAggregator agg(config_, std::move(setup));
-    for (auto& stream : coded_streams_[sub]) {
-      for (auto& frame : stream) agg.add_frame(frame, shuffle::Layout::kKvList);
-    }
-    for (int m = leader + 1; m < node_end; ++m) {
-      for (;;) {
-        // Source-selective, like node_agg_finalize: queued lane control
-        // from a restarted reducer stays pending.
-        data_comm_.recv_bytes(1 + m, kNodeTag, msg);
-        if (msg.empty()) break;
-        agg.add_frame(msg, shuffle::Layout::kKvList);
-      }
-    }
-    agg.finish();
-  }
-  coded_streams_.clear();
-  return matrix;
-}
-
-void MpiD::coded_mapper_finalize() {
-  auto matrix = coded_unit_matrix();
-  if (matrix.empty()) return;  // node-agg member: the leader ships
-  const std::size_t r = config_.coded_replication;
-  const auto unit = static_cast<std::size_t>(unit_of_mapper(mapper_index()));
-  const std::size_t home = placement_.home_group(unit);
-  // Off-home partitions ship point-to-point exactly like the uncoded
-  // shuffle — codec-framed here (the coded pipelines realign raw so the
-  // replicas stay aligned) — in deterministic (partition, sub, index)
-  // order.
-  for (std::size_t q = 0; q < static_cast<std::size_t>(config_.reducers);
-       ++q) {
-    if (placement_.group_of_reducer(q) == home) continue;
-    for (std::size_t sub = 0; sub < r; ++sub) {
-      for (auto& frame : matrix[sub][q]) {
-        if (compressor_) {
-          bool codec_framed = false;
-          frame = compressor_->encode(std::move(frame), codec_framed);
-        }
-        transport_send(q, std::move(frame));
-      }
-    }
-  }
-  // Home group: only the diagonal {sub i → reducer base+i} crosses the
-  // fabric, XOR-folded r-into-1 per round. The off-diagonal home frames
-  // are exactly what the group's reducers recompute locally as side
-  // information and own-partition input, so they ship nowhere.
-  const std::size_t base = placement_.group_base(home);
-  std::size_t rounds = 0;
-  for (std::size_t i = 0; i < r; ++i) {
-    rounds = std::max(rounds, matrix[i][base + i].size());
-  }
-  for (std::uint32_t k = 0; k < rounds; ++k) {
-    std::vector<std::span<const std::byte>> terms(r);
-    for (std::size_t i = 0; i < r; ++i) {
-      const auto& stream = matrix[i][base + i];
-      if (k < stream.size()) terms[i] = stream[k];
-    }
-    auto payload = shuffle::coded_encode(terms, k, &stats_);
-    if (compressor_) {
-      // The codec wraps the coded payload: pre/post_coding accounted the
-      // XOR fold above, the compressor's counters account this stage.
-      bool codec_framed = false;
-      payload = compressor_->encode(std::move(payload), codec_framed);
-    }
-    coded_multicast_send(std::move(payload));
-  }
-}
-
-void MpiD::coded_multicast_send(std::vector<std::byte> payload) {
-  const auto unit = static_cast<std::size_t>(unit_of_mapper(mapper_index()));
-  const std::size_t base = placement_.group_base(placement_.home_group(unit));
-  const std::size_t r = config_.coded_replication;
-  std::vector<minimpi::Rank> dsts(r);
-  for (std::size_t i = 0; i < r; ++i) {
-    dsts[i] = 1 + config_.mappers + static_cast<minimpi::Rank>(base + i);
-  }
-  const std::uint64_t start = now_ns();
-  // Home lanes carry nothing but coded rounds, so the group's r lanes
-  // advance in lockstep: one trailer, one sequence number, and one wire
-  // transmission per group — that is the whole point, and the counters
-  // say so honestly.
-  stamp_frame(payload, base, r);
-  data_comm_.multicast_bytes_owned(dsts, kDataTag, std::move(payload));
-  stats_.flush_wait_ns += now_ns() - start;
-}
-
-void MpiD::run_reduce_side_map(const CodedReplicaMapFn& replica_map) {
-  ensure_role(Role::kReducer, "run_reduce_side_map");
-  if (!coded()) {
-    throw std::logic_error(
-        "MpiD: run_reduce_side_map requires coded_replication > 1");
-  }
-  if (lanes_delivered_ != 0 || !coded_units_.empty()) {
-    throw std::logic_error(
-        "MpiD: run_reduce_side_map must run once, before the first recv");
-  }
-  const std::size_t r = config_.coded_replication;
-  const auto q = static_cast<std::size_t>(reducer_index());
-  const std::size_t group = placement_.group_of_reducer(q);
-  const std::size_t pos = placement_.pos_of_reducer(q);
-  const auto units =
-      static_cast<std::size_t>(node_agg() ? node_count() : config_.mappers);
-  // Replica compute accounts into scratch, never stats_: the redundant
-  // work is the modeled price of the wire cut, and folding it here would
-  // double-count the dataflow counters parity tests assert on.
-  shuffle::ShuffleCounters replica_scratch;
-  for (std::size_t unit = 0; unit < units; ++unit) {
-    if (placement_.home_group(unit) != group) continue;
-    CodedUnitState state;
-    state.side.resize(r);
-    for (std::size_t sub = 0; sub < r; ++sub) {
-      if (sub == pos) continue;  // my own sub arrives coded, not replayed
-      PartitionStreams streams(static_cast<std::size_t>(config_.reducers));
-      const auto stage = [&streams](std::uint32_t partition,
-                                    std::vector<std::byte> frame, bool) {
-        streams[partition].push_back(std::move(frame));
-      };
-      if (!node_agg()) {
-        run_coded_pipeline(
-            [&](const CodedEmitFn& emit) {
-              replica_map(static_cast<int>(unit), static_cast<int>(sub),
-                          emit);
-            },
-            &replica_scratch, stage);
-      } else {
-        // Replay every member mapper of node `unit`, then the node's
-        // combine tree, in the exact canonical order the leader used:
-        // members ascending, each member's frames in (partition, index)
-        // order.
-        const int node_start = static_cast<int>(unit) * ranks_per_node();
-        const int node_end =
-            std::min(node_start + ranks_per_node(), config_.mappers);
-        shuffle::CombineRunner combine(config_.combiner, &replica_scratch);
-        shuffle::NodeAggregator::Setup setup;
-        setup.out_layout = shuffle::Layout::kKvList;
-        setup.partitions = static_cast<std::uint32_t>(config_.reducers);
-        setup.partitioner = shuffle::Partitioner(
-            static_cast<std::uint32_t>(config_.reducers), config_.partitioner);
-        setup.combine = &combine;
-        setup.counters = &replica_scratch;
-        setup.sink = stage;
-        shuffle::NodeAggregator agg(config_, std::move(setup));
-        for (int m = node_start; m < node_end; ++m) {
-          PartitionStreams member(
-              static_cast<std::size_t>(config_.reducers));
-          run_coded_pipeline(
-              [&](const CodedEmitFn& emit) {
-                replica_map(m, static_cast<int>(sub), emit);
-              },
-              &replica_scratch,
-              [&member](std::uint32_t partition, std::vector<std::byte> frame,
-                        bool) {
-                member[partition].push_back(std::move(frame));
-              });
-          for (auto& stream : member) {
-            for (auto& frame : stream) {
-              agg.add_frame(frame, shuffle::Layout::kKvList);
-            }
-          }
-        }
-        agg.finish();
-      }
-      // The diagonal frame sequence is the side information; the frames
-      // of my own partition are local input (they never hit the fabric).
-      state.side[sub] = std::move(streams[placement_.group_base(group) + sub]);
-      for (auto& frame : streams[q]) {
-        coded_local_.push_back(std::move(frame));
-      }
-    }
-    coded_units_.emplace(static_cast<int>(unit), std::move(state));
-  }
-}
-
-std::vector<std::byte> MpiD::decode_coded_payload(
-    int unit, std::vector<std::byte> payload) {
-  if (compression_on()) payload = decoder_->decode(std::move(payload));
-  const auto it = coded_units_.find(unit);
-  if (it == coded_units_.end()) {
-    throw std::logic_error(
-        "MpiD: coded frame from unit " + std::to_string(unit) +
-        " but its side terms are missing — call run_reduce_side_map before "
-        "the first recv");
-  }
-  const auto& side = it->second.side;
-  const std::size_t pos = placement_.pos_of_reducer(
-      static_cast<std::size_t>(reducer_index()));
-  return shuffle::coded_decode(
-      payload, pos,
-      [&side](std::size_t sub, std::uint32_t round)
-          -> std::span<const std::byte> {
-        if (sub >= side.size() || round >= side[sub].size()) return {};
-        return side[sub][round];
-      },
-      &stats_);
 }
 
 // ----------------------------------------------------------- data channel --
@@ -1132,19 +782,12 @@ void MpiD::receive_one() {
 }
 
 void MpiD::deliver_lane(int mapper) {
-  // Every lane decodes here (codec, then XOR against the side terms for a
-  // coded lane): the checksum already vouched for the wire bytes, and
-  // staging raw frames lets every recv_* flavor skip per-frame special
-  // cases.
+  // Every lane decodes here: the checksum already vouched for the wire
+  // bytes, and staging decoded frames lets every recv_* flavor skip
+  // per-frame special cases.
   auto& lane = recv_lanes_[static_cast<std::size_t>(mapper)];
-  const bool coded_lane = is_coded_source(mapper);
   for (auto& [seq, payload] : lane.frames) {
-    if (coded_lane) {
-      auto decoded =
-          decode_coded_payload(unit_of_mapper(mapper), std::move(payload));
-      if (decoded.empty()) continue;  // round carried nothing for us
-      collected_.push_back(std::move(decoded));
-    } else if (compression_on()) {
+    if (compression_on()) {
       collected_.push_back(decoder_->decode(std::move(payload)));
     } else {
       collected_.push_back(std::move(payload));
@@ -1167,7 +810,6 @@ void MpiD::restart_mapper() {
   ++attempt_;
   ++incarnation_;
   ++stats_.task_restarts;
-  coded_streams_.clear();  // staged coded matrix of the dead attempt
   for (std::size_t p = 0; p < inflight_.size(); ++p) drain_inflight(p);
   reset_send_side();
   if (auto* inj = injector()) {
@@ -1190,10 +832,6 @@ void MpiD::restart_reducer() {
   ++attempt_;
   ++stats_.task_restarts;
   reset_receive_side();
-  // Side terms and local frames survive: the replica map work is
-  // deterministic, so the re-pulled lanes decode against the same terms.
-  // Only the delivery cursor rewinds.
-  coded_local_cursor_ = 0;
   progress_ticks_ = 0;
   crash_tick_.reset();
   if (auto* inj = injector()) {

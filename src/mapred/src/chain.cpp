@@ -239,11 +239,6 @@ void validate_job(const ChainJob& job) {
         "differ per round; a chain-wide combiner would be wrong for at "
         "least one of them)");
   }
-  if (job.tuning.coded_replication > 1) {
-    throw std::invalid_argument(
-        "ChainJob: coded_replication > 1 is incompatible with chaining "
-        "(see ShuffleOptions::resident_rounds)");
-  }
 }
 
 }  // namespace chain_detail

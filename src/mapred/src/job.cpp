@@ -48,19 +48,6 @@ JobResult run_job(const JobDef& job, int mappers, int reducers,
                                            static_cast<int>(m), splits[m],
                                            /*bytes_read=*/nullptr));
   }
-  // The coded shuffle loads every split up front: each rank that
-  // replicates a map task must re-read its split — the task's own mapper
-  // maps r sub-splits, and the home-group reducers replay r-1 of them as
-  // side information — and inputs are single-pass cursors (Hadoop's
-  // durable-split-in-DFS assumption, same as the fault path). The mapper
-  // then finds its task loaded.
-  const bool coded = config.coded_replication > 1;
-  if (coded) {
-    for (auto& task : tasks) {
-      task.load = [count = task.load()] { return count; };
-    }
-  }
-
   minimpi::run_world(config.world_size(), [&](minimpi::Comm& comm) {
     core::MpiD mpid(comm, config);
     switch (mpid.role()) {
@@ -71,22 +58,6 @@ JobResult run_job(const JobDef& job, int mappers, int reducers,
         break;
       }
       case core::Role::kReducer: {
-        if (coded) {
-          // The redundant map pass runs once, before any recv: its side
-          // terms decode every coded payload (and survive reducer
-          // restarts — the replay is deterministic). The context reports
-          // the PRIMARY mapper's index, so index-dependent map functions
-          // agree across replicas.
-          mpid.run_reduce_side_map(
-              [&](int task, int sub, const core::MpiD::CodedEmitFn& emit) {
-                const auto& split = splits[static_cast<std::size_t>(task)];
-                const auto [lo, hi] = detail::part_range(
-                    split.size(), config.coded_replication,
-                    static_cast<std::size_t>(sub));
-                MapContext ctx(emit, task);
-                for (std::size_t i = lo; i < hi; ++i) job.map(split[i], ctx);
-              });
-        }
         detail::ReduceTask task(mpid, config);
         task.collect();
         mpid.finalize();

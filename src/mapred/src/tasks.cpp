@@ -110,14 +110,13 @@ void run_map_task(core::MpiD& mpid, const core::Config& config,
     mpid.send(key, value);
   };
   fault::FaultInjector* inj = injector(config);
-  const bool coded = config.coded_replication > 1;
-  if (inj == nullptr && !coded && config.map_threads <= 1) {
+  if (inj == nullptr && config.map_threads <= 1) {
     task.stream(send);
     return;
   }
   // A crashed attempt re-reads the split from its first record (Hadoop
   // re-executes a failed map against its durable split in DFS), and
-  // worker-pool chunks and coded sub-splits slice it.
+  // worker-pool chunks slice it.
   const std::size_t count = task.load();
   const int mapper = mpid.mapper_index();
   std::uint64_t round_ticks = 0;
@@ -130,8 +129,8 @@ void run_map_task(core::MpiD& mpid, const core::Config& config,
         crash_at = inj->crash_tick(fault::TaskKind::kMap, mapper, attempt);
         straggle(*inj, fault::TaskKind::kMap, mapper, attempt);
       }
-      // Ticks count records across every chunk or sub-split, which may run
-      // on the worker pool, so a scripted crash fires at the same overall
+      // Ticks count records across every chunk, which may run on the
+      // worker pool, so a scripted crash fires at the same overall
       // progress point whatever the thread count, and on exactly one
       // worker.
       std::atomic<std::uint64_t> ticks{carried};
@@ -142,14 +141,7 @@ void run_map_task(core::MpiD& mpid, const core::Config& config,
           throw fault::TaskCrash(fault::TaskKind::kMap, mapper, attempt);
         }
       };
-      if (coded) {
-        const std::size_t r = config.coded_replication;
-        mpid.run_map_coded([&](int sub, const Emit& emit) {
-          const auto [lo, hi] =
-              part_range(count, r, static_cast<std::size_t>(sub));
-          task.map_range(lo, hi, emit, tick);
-        });
-      } else if (config.map_threads > 1) {
+      if (config.map_threads > 1) {
         // The chunk count is fixed, never a function of the thread count,
         // so the shipped bytes are identical at every map_threads.
         const std::size_t chunks = shuffle::resolve_map_chunks(count);

@@ -3,10 +3,10 @@
 //
 // A runner says what a task reads and which user function it calls; the
 // drivers own everything else. On the map side that is streaming versus
-// loaded input, worker-pool chunks, coded sub-splits, straggler delays,
-// injected crashes and the restart loop. On the reduce side it is the
-// crash/re-pull loop and the merge phase; and each runner collects output
-// through sort_run and merge_runs.
+// loaded input, worker-pool chunks, straggler delays, injected crashes
+// and the restart loop. On the reduce side it is the crash/re-pull loop
+// and the merge phase; and each runner collects output through sort_run
+// and merge_runs.
 #pragma once
 
 #include <cstddef>
@@ -70,9 +70,9 @@ std::pair<std::size_t, std::size_t> part_range(std::size_t count,
 /// Runs one map task on a mapper rank, up to its round barrier (the
 /// caller's finalize() or next_round()). The input streams straight into
 /// MPI_D_Send unless it must be loaded: an armed fault injector re-runs
-/// a crashed attempt from the first record (restart_mapper), map_threads
-/// > 1 maps resolve_map_chunks() chunks on the rank's worker pool, and
-/// the coded shuffle maps its r sub-splits through run_map_coded.
+/// a crashed attempt from the first record (restart_mapper), and
+/// map_threads > 1 maps resolve_map_chunks() chunks on the rank's worker
+/// pool.
 /// `chain_ticks` (nullable) carries the current attempt's crash-tick count
 /// across the rounds of a chain, so an injected map crash can land in any
 /// round, as a reducer's does: it holds the records this attempt mapped

@@ -293,12 +293,6 @@ JobSummary MiniCluster::run_internal(const MiniJobConfig& config,
 
   const shuffle::ShuffleOptions opts = config;
   opts.validate();
-  if (opts.coded_replication > 1) {
-    throw std::invalid_argument(
-        "MiniCluster: coded_replication > 1 is an MPI-D-only feature (the "
-        "Hadoop model has no multicast shuffle path); set it to 1 here, or "
-        "run the job through mapred::JobRunner");
-  }
   const bool compressing =
       opts.shuffle_compression != shuffle::ShuffleCompression::kOff;
   // With node aggregation the tracker's servlet codec-frames each merged
@@ -979,7 +973,11 @@ ChainSummary MiniCluster::run_chain(const MiniChainConfig& config) {
     if (round == 1) {
       jc.map = config.ingest;
       jc.map_tasks = config.map_tasks;
-      chain.ingest_bytes += dfs_.read(config.input_path).size();
+      // Record bytes, as MPI-D's JobChain counts them: the lines the
+      // ingest map reads, without their terminators.
+      const std::string input = dfs_.read(config.input_path);
+      mapred::LineReader lines(input);
+      while (auto line = lines.next()) chain.ingest_bytes += line->size();
     } else {
       // Rounds >= 2: one map task per reduce partition, reading that
       // partition's previous output in place ("k\tv" lines).
@@ -988,8 +986,9 @@ ChainSummary MiniCluster::run_chain(const MiniChainConfig& config) {
       io.map_splits = &splits;
       if (!config.resident) {
         // The ablation re-ingests the previous round's output as fresh
-        // external input (the same bytes the part files round-trip).
-        for (const auto& split : splits) chain.ingest_bytes += split.size();
+        // external input: the key and value bytes the stage map reads,
+        // which the resident chain maps in place as resident_bytes_in.
+        chain.ingest_bytes += chain.rounds.back().resident_bytes_out;
       }
       const auto stage_map = stage.map;
       jc.map = [stage_map, statics_ptr, round](std::string_view record,

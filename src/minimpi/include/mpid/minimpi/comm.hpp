@@ -68,20 +68,6 @@ class Comm {
   /// no intermediate copy (the shuffle hot path of MPI-D).
   void send_bytes_owned(Rank dst, int tag, std::vector<std::byte>&& data);
 
-  /// One-transmission group multicast: delivers the same payload to every
-  /// destination rank, moving the buffer into the last delivery (earlier
-  /// destinations receive copies — the local analog of switch-level
-  /// packet replication). The point of a dedicated primitive is honest
-  /// accounting: a caller modeling fabric traffic charges ONE wire
-  /// transmission for the whole group, which a loop of unicasts cannot
-  /// express. Each destination's copy passes the transport hook
-  /// independently, so fault injection can drop or corrupt one group
-  /// member's delivery without touching the others (a real multicast
-  /// loss mode). Sending to an empty destination list is a no-op;
-  /// duplicate destinations each receive a copy.
-  void multicast_bytes_owned(std::span<const Rank> dsts, int tag,
-                             std::vector<std::byte>&& data);
-
   /// Synchronous send (MPI_Ssend): completes only once a matching receive
   /// has consumed the message. Times out (throwing) under the world's
   /// deadlock guard if no receive ever matches.

@@ -125,24 +125,6 @@ void Comm::send_bytes_owned(Rank dst, int tag, std::vector<std::byte>&& data) {
   deliver_user(std::move(env), to_world(dst));
 }
 
-void Comm::multicast_bytes_owned(std::span<const Rank> dsts, int tag,
-                                 std::vector<std::byte>&& data) {
-  check_tag(tag, "multicast");
-  for (const Rank dst : dsts) check_peer(dst, "multicast");
-  for (std::size_t i = 0; i < dsts.size(); ++i) {
-    detail::Envelope env;
-    env.context = context_;
-    env.source = to_world(rank_);
-    env.tag = tag;
-    if (i + 1 == dsts.size()) {
-      env.payload = std::move(data);
-    } else {
-      env.payload = data;  // replicate for all but the final destination
-    }
-    deliver_user(std::move(env), to_world(dsts[i]));
-  }
-}
-
 void Comm::ssend_bytes(Rank dst, int tag, std::span<const std::byte> data) {
   check_peer(dst, "ssend");
   check_tag(tag, "ssend");

@@ -117,19 +117,6 @@ struct SystemSpec {
   /// bench/micro_mpid.
   double node_agg_merge_bytes_per_second = 250.0e6;
 
-  /// Coded shuffle (DESIGN.md §15, core::Config::coded_replication): the
-  /// compute-for-communication trade of Coded MapReduce. Every map task
-  /// runs r times on r distinct ranks, and one XOR-coded multicast round
-  /// then serves a whole group of r reducers where the uncoded shuffle
-  /// sent r unicasts — so the map side pays r× scan + map CPU + realign
-  /// while the fabric carries wire / r, and each reducer pays an XOR
-  /// decode pass over its received bytes. 1 = off; must divide reducers
-  /// (the placement needs whole groups of r).
-  int coded_replication = 1;
-  /// XOR fold/decode rate (memory-bandwidth bound), calibrated from
-  /// coded_encode_ns / coded_decode_ns in bench/micro_mpid.
-  double coded_decode_bytes_per_second = 2.0e9;
-
   /// Codec throughput of the real library's shuffle compression
   /// (core::Config::shuffle_compression), calibrated from
   /// bench/micro_codec: mappers encode each spill before MPI_D_Send,

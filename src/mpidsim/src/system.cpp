@@ -43,22 +43,6 @@ MpidSystem::MpidSystem(sim::Engine& engine, SystemSpec spec)
         "MpidSystem: node_agg_merge_bytes_per_second must be > 0 when "
         "node_aggregation is set");
   }
-  if (spec.coded_replication < 1) {
-    throw std::invalid_argument(
-        "MpidSystem: coded_replication must be >= 1 (1 = coding off)");
-  }
-  if (spec.coded_replication > 1) {
-    if (spec.reducers % spec.coded_replication != 0) {
-      throw std::invalid_argument(
-          "MpidSystem: coded_replication must divide reducers — the coded "
-          "placement needs whole groups of r reducers");
-    }
-    if (spec.coded_decode_bytes_per_second <= 0.0) {
-      throw std::invalid_argument(
-          "MpidSystem: coded_decode_bytes_per_second must be > 0 when "
-          "coded_replication > 1");
-    }
-  }
   disks_.reserve(static_cast<std::size_t>(spec.nodes));
   for (int n = 0; n < spec.nodes; ++n) {
     net::FabricSpec disk_spec;
@@ -101,19 +85,11 @@ sim::Task<> MpidSystem::mapper(Run& run, int node, int index_on_node) {
   while (remaining > 0) {
     const std::uint64_t chunk =
         std::min<std::uint64_t>(remaining, spec_.spill_input_bytes);
-    // Coded shuffle: this process also runs the replicas of r-1 other
-    // tasks' chunks (symmetric placement — every task runs on r ranks),
-    // so scan, map CPU and realign all scale by r; the XOR fold then
-    // collapses the group's r aligned frame streams into one multicast
-    // payload on the wire.
-    const auto replication =
-        static_cast<std::uint64_t>(spec_.coded_replication);
     // Scan input records from the local disk, run the map function and the
     // combiner over the hash-table buffer. Resident chain rounds map the
     // previous round's in-memory reducer partitions instead — no scan.
     if (!run.job.map_input_resident) {
-      co_await disks_[static_cast<std::size_t>(node)]->transfer(
-          0, 0, chunk * replication);
+      co_await disks_[static_cast<std::size_t>(node)]->transfer(0, 0, chunk);
     }
     const double jitter =
         1.0 + spec_.chunk_jitter_frac *
@@ -128,8 +104,8 @@ sim::Task<> MpidSystem::mapper(Run& run, int node, int index_on_node) {
     // real library's serialized sequencer drain.
     const double thread_speedup = spec_.map_thread_speedup();
     co_await engine_.delay(sim::from_seconds(
-        static_cast<double>(chunk * replication) /
-        spec_.map_cpu_bytes_per_second * jitter / thread_speedup));
+        static_cast<double>(chunk) / spec_.map_cpu_bytes_per_second *
+        jitter / thread_speedup));
 
     // Spill: realign the combined buffer into contiguous partition frames,
     // then (when the job compresses its shuffle) codec-frame them so the
@@ -137,8 +113,7 @@ sim::Task<> MpidSystem::mapper(Run& run, int node, int index_on_node) {
     const double out =
         static_cast<double>(chunk) * run.job.map_output_ratio;
     co_await engine_.delay(sim::from_seconds(
-        out * static_cast<double>(replication) /
-        spec_.realign_bytes_per_second / thread_speedup));
+        out / spec_.realign_bytes_per_second / thread_speedup));
     double post = out;
     if (spec_.node_aggregation) {
       // In-node combine tree (DESIGN.md §14): the node's mappers merge
@@ -157,13 +132,6 @@ sim::Task<> MpidSystem::mapper(Run& run, int node, int index_on_node) {
       co_await engine_.delay(
           sim::from_seconds(post / spec_.compress_bytes_per_second));
       wire = post / run.job.shuffle_compression_ratio;
-    }
-    if (spec_.coded_replication > 1) {
-      // One coded multicast round replaces the group's r unicasts: the
-      // fabric carries 1/r of the (possibly compressed) wire volume. The
-      // reducer is still handed the full raw volume below — decode
-      // reconstructs it from side information computed by the replicas.
-      wire /= static_cast<double>(replication);
     }
 
     // MPI_Send of the full frames. With overlap_sends the transfer is
@@ -222,12 +190,6 @@ sim::Task<> MpidSystem::reducer(Run& run, int reducer_index) {
     if (run.job.compress_shuffle) {
       co_await engine_.delay(
           sim::from_seconds(bytes / spec_.decompress_bytes_per_second));
-    }
-    // Coded payloads XOR against the locally recomputed side terms before
-    // anything downstream sees them (memory-bandwidth-class pass).
-    if (spec_.coded_replication > 1) {
-      co_await engine_.delay(
-          sim::from_seconds(bytes / spec_.coded_decode_bytes_per_second));
     }
     // Streaming mode: reverse realignment + the reduce function, applied
     // as the partitions arrive. Within the memory budget this is pure

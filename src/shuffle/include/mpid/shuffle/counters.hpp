@@ -54,20 +54,6 @@ struct ShuffleCounters {
   /// stream.
   std::uint64_t node_agg_merge_ns = 0;
 
-  // --- coded shuffle (zero unless coded_replication > 1) ---
-  /// Term bytes entering the XOR encoder — what r per-reducer unicasts
-  /// would have carried to the home group without coding.
-  std::uint64_t bytes_pre_coding = 0;
-  /// Coded multicast payload bytes actually produced (header + XOR body,
-  /// before any codec framing); pre/post is the structural coding cut.
-  std::uint64_t bytes_post_coding = 0;
-  /// Producer wall time XOR-combining aligned terms into payloads.
-  std::uint64_t coded_encode_ns = 0;
-  /// Consumer wall time recovering terms from payloads via side
-  /// information (the redundant map compute itself is charged to the
-  /// replica pipelines, not here).
-  std::uint64_t coded_decode_ns = 0;
-
   // --- two-tier spill store (zero unless memory_budget_bytes is set) ---
   /// Bytes written to spill runs on disk, merge-pass rewrites included —
   /// the total disk-write volume the budget cost, not the live footprint.
@@ -84,8 +70,10 @@ struct ShuffleCounters {
   std::uint64_t chain_rounds = 0;
   /// External input bytes read from the ingest channel (round 1 of a
   /// chain, or every round of MiniHadoop's round-trip chain, which
-  /// re-ingests its part files). The headline residency proof is that
-  /// this stays flat after round 1.
+  /// re-ingests its part files), counted on both runtimes as the record
+  /// bytes the map function reads: input lines without their
+  /// terminators, and re-ingested pairs' key and value bytes. The
+  /// headline residency proof is that this stays flat after round 1.
   std::uint64_t ingest_bytes = 0;
   /// Pairs and bytes mapped in place from resident partitions (rounds
   /// >= 2) — data that never round-tripped through ingest or DFS.
@@ -121,10 +109,6 @@ struct ShuffleCounters {
     bytes_pre_node_agg += rhs.bytes_pre_node_agg;
     bytes_post_node_agg += rhs.bytes_post_node_agg;
     node_agg_merge_ns += rhs.node_agg_merge_ns;
-    bytes_pre_coding += rhs.bytes_pre_coding;
-    bytes_post_coding += rhs.bytes_post_coding;
-    coded_encode_ns += rhs.coded_encode_ns;
-    coded_decode_ns += rhs.coded_decode_ns;
     bytes_spilled_disk += rhs.bytes_spilled_disk;
     spill_files += rhs.spill_files;
     external_merge_passes += rhs.external_merge_passes;

@@ -9,8 +9,7 @@
 // frames through a per-node combine tree that merges duplicate keys
 // ACROSS the co-located mappers and emits one frame stream per
 // (node, reducer-partition). With m mappers per node and combiner-
-// friendly keys, the fabric sees ~1/m of the per-mapper traffic — the
-// compute-for-communication trade Coded MapReduce formalizes.
+// friendly keys, the fabric sees ~1/m of the per-mapper traffic.
 //
 // The tree is built from the stages PR 5–7 already shared: a
 // MapOutputBuffer (KvCombineTable fast tier, MemoryBudget-charged, so

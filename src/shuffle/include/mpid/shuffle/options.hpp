@@ -160,9 +160,8 @@ struct ShuffleOptions {
   /// stream per (node, reducer-partition) instead of one per (mapper,
   /// partition). On combiner-friendly keys this multiplies the combiner's
   /// traffic cut by the per-node mapper count before bytes touch the
-  /// fabric (Lee et al.'s in-node combining; Coded MapReduce's
-  /// compute-for-communication trade). Off by default: the per-mapper
-  /// frame cadence is byte-for-byte the legacy one.
+  /// fabric (Lee et al.'s in-node combining). Off by default: the
+  /// per-mapper frame cadence is byte-for-byte the legacy one.
   ///
   /// Interaction with memory_budget_bytes: the aggregator's combine buffer
   /// charges the same budget as every other buffering stage, so memory
@@ -180,18 +179,6 @@ struct ShuffleOptions {
   /// >= 1 when node_aggregation is set.
   std::size_t ranks_per_node = 1;
 
-  // --- coded shuffle (DESIGN.md §15, Coded MapReduce) ---
-  /// Replication factor r of the coded shuffle: every map task runs on r
-  /// reducer-side replicas so that one XOR-coded multicast payload per
-  /// round serves a whole group of r reducers at once, trading r× map
-  /// compute for a structural ~r-fold cut in cross-fabric shuffle bytes.
-  /// 1 (the default) disables coding entirely — the pipeline is
-  /// byte-for-byte the uncoded one. Values > 1 are MPI-D only (the
-  /// multicast needs the MPI fabric; MiniHadoop rejects them), require
-  /// r to divide the reducer count (validate() checks what it can see
-  /// here; the runtime checks the counts).
-  std::size_t coded_replication = 1;
-
   // --- iterative job chaining (DESIGN.md §16) ---
   /// Maximum MapReduce rounds one world may run over resident partitions
   /// before finalizing. 1 (the default) is the classic one-shot job:
@@ -201,9 +188,6 @@ struct ShuffleOptions {
   /// lanes reset with a fresh incarnation, reducer EOS/seal state
   /// cleared) instead of tearing down, so round N's realigned reducer
   /// partitions can feed round N+1 in place with no re-ingest.
-  /// Incompatible with coded_replication > 1 (replica placement is
-  /// derived from the one-shot split layout; the runtime rejects the
-  /// combination).
   std::size_t resident_rounds = 1;
 
   /// Throws std::invalid_argument on nonsense combinations (zero

@@ -84,21 +84,10 @@ void ShuffleOptions::validate() const {
         "ShuffleOptions: ranks_per_node must be >= 1 when node_aggregation "
         "is set — a node with no mappers has nothing to aggregate");
   }
-  if (coded_replication < 1) {
-    throw std::invalid_argument(
-        "ShuffleOptions: coded_replication must be >= 1 (1 = coding off; "
-        "r > 1 replicates every map task r times for the coded shuffle)");
-  }
   if (resident_rounds < 1) {
     throw std::invalid_argument(
         "ShuffleOptions: resident_rounds must be >= 1 (1 = one-shot job; "
         "N > 1 arms the iterative chain lifecycle)");
-  }
-  if (resident_rounds > 1 && coded_replication > 1) {
-    throw std::invalid_argument(
-        "ShuffleOptions: resident_rounds > 1 is incompatible with "
-        "coded_replication > 1 — coded replica placement is derived from "
-        "the one-shot split layout and cannot be re-armed across rounds");
   }
 }
 

@@ -304,78 +304,6 @@ TEST(MpiD, ConfigValidation) {
   });
 }
 
-TEST(MpiD, CodedConfigValidation) {
-  // World of 1 master + 1 mapper + 4 reducers.
-  run_world(6, [](Comm& comm) {
-    const auto message_for = [&](Config cfg) -> std::string {
-      try {
-        MpiD d(comm, cfg);
-      } catch (const std::invalid_argument& e) {
-        return e.what();
-      }
-      return {};
-    };
-    Config base;
-    base.mappers = 1;
-    base.reducers = 4;
-
-    Config too_big = base;
-    too_big.coded_replication = 8;  // r > reducer count
-    EXPECT_NE(message_for(too_big).find("exceeds the reducer count"),
-              std::string::npos);
-
-    Config non_dividing = base;
-    non_dividing.coded_replication = 3;  // 3 does not divide 4
-    EXPECT_NE(message_for(non_dividing).find("must divide the reducer count"),
-              std::string::npos);
-  });
-}
-
-TEST(MpiD, CodedSendMisuseThrows) {
-  Config cfg;
-  cfg.mappers = 2;
-  cfg.reducers = 2;
-  cfg.coded_replication = 2;
-  run_world(cfg.world_size(), [&](Comm& comm) {
-    MpiD d(comm, cfg);
-    switch (d.role()) {
-      case Role::kMapper: {
-        // Plain send and the chunked parallel path are staged per-rank —
-        // they cannot produce the aligned replica frames coding needs.
-        EXPECT_THROW(d.send("k", "v"), std::logic_error);
-        EXPECT_THROW(d.run_map_parallel(
-                         1, [](std::size_t,
-                               const shuffle::ParallelMapper::EmitFn&) {}),
-                     std::logic_error);
-        d.run_map_coded([&](int sub, const MpiD::CodedEmitFn& emit) {
-          emit("key" + std::to_string(sub), "1");
-        });
-        d.finalize();
-        break;
-      }
-      case Role::kReducer: {
-        d.run_reduce_side_map(
-            [&](int, int sub, const MpiD::CodedEmitFn& emit) {
-              emit("key" + std::to_string(sub), "1");
-            });
-        std::string k, v;
-        while (d.recv(k, v)) {
-        }
-        d.finalize();
-        break;
-      }
-      case Role::kMaster: {
-        d.finalize();
-        // Every emitted pair arrives exactly once — coded rounds and the
-        // local own-partition deliveries together cover the full stream.
-        EXPECT_EQ(d.report().totals.pairs_sent, 4u);
-        EXPECT_EQ(d.report().totals.pairs_received, 4u);
-        break;
-      }
-    }
-  });
-}
-
 TEST(MpiD, RoleMisuseThrows) {
   Config cfg;
   cfg.mappers = 1;

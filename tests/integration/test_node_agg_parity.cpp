@@ -6,18 +6,23 @@
 // shuffle, the structural counters must show bytes leaving the node
 // shrinking (bytes_post_node_agg < bytes_pre_node_agg), and the cut must
 // survive composition with compression, map threads, value-order-
-// sensitive merges and reducer restart.
+// sensitive merges and reducer restart. A composition matrix runs a
+// value-order-sensitive sort job through every cell of compression ×
+// node aggregation × map threads against its serial reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
 #include "mpid/dfs/minidfs.hpp"
 #include "mpid/fault/fault.hpp"
+#include "mpid/mapred/input.hpp"
 #include "mpid/mapred/job.hpp"
 #include "mpid/minihadoop/minihadoop.hpp"
 #include "mpid/shuffle/options.hpp"
@@ -53,6 +58,56 @@ shuffle::Combiner wordcount_combiner() {
     for (const auto& v : values) total += std::stoull(v);
     return std::vector<std::string>{std::to_string(total)};
   };
+}
+
+/// Value-order sensitive: each mapper tags every word with its own index
+/// and the reduce sorts the tags, so a merge that interleaves the mappers'
+/// values differently from the serial order still matches it.
+mapred::MapFn tagging_map() {
+  return [](std::string_view line, mapred::MapContext& ctx) {
+    std::size_t start = 0;
+    while (start < line.size()) {
+      auto end = line.find(' ', start);
+      if (end == std::string_view::npos) end = line.size();
+      if (end > start) {
+        ctx.emit(line.substr(start, end - start),
+                 std::to_string(ctx.mapper_index()));
+      }
+      start = end + 1;
+    }
+  };
+}
+
+mapred::ReduceFn sorting_reduce() {
+  return [](std::string_view key, std::span<const std::string> values,
+            mapred::ReduceContext& ctx) {
+    std::vector<std::string> sorted(values.begin(), values.end());
+    std::sort(sorted.begin(), sorted.end());
+    for (const auto& v : sorted) ctx.emit(key, v);
+  };
+}
+
+/// The tagging sort job run serially over the splits JobRunner::run_on_text
+/// hands its `mappers` mappers.
+mapred::KvVec tagging_reference(std::string_view text, int mappers) {
+  const auto map = tagging_map();
+  const auto reduce = sorting_reduce();
+  std::map<std::string, std::vector<std::string>, std::less<>> groups;
+  const auto splits = mapred::split_text(text, mappers);
+  for (std::size_t m = 0; m < splits.size(); ++m) {
+    mapred::MapContext ctx(
+        [&](std::string_view k, std::string_view v) {
+          groups[std::string(k)].emplace_back(v);
+        },
+        static_cast<int>(m));
+    mapred::LineReader lines(splits[m]);
+    while (auto line = lines.next()) map(*line, ctx);
+  }
+  mapred::ReduceContext reduce_ctx(0);
+  for (const auto& [key, values] : groups) reduce(key, values, reduce_ctx);
+  mapred::KvVec out = reduce_ctx.take_emitted();
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 /// A combiner-friendly corpus: a small vocabulary so every split covers
@@ -194,25 +249,8 @@ TEST(NodeAggParityTest, SortJobStaysByteIdenticalWhenValuesAreOrdered) {
   // values (the documented contract for aggregation-safe jobs) must get
   // byte-identical output on both runtimes.
   const auto text = corpus(803);
-  const auto sort_map = [](std::string_view line, mapred::MapContext& ctx) {
-    std::size_t start = 0;
-    while (start < line.size()) {
-      auto end = line.find(' ', start);
-      if (end == std::string_view::npos) end = line.size();
-      if (end > start) {
-        ctx.emit(line.substr(start, end - start),
-                 std::to_string(ctx.mapper_index()));
-      }
-      start = end + 1;
-    }
-  };
-  const auto sort_reduce = [](std::string_view key,
-                              std::span<const std::string> values,
-                              mapred::ReduceContext& ctx) {
-    std::vector<std::string> sorted(values.begin(), values.end());
-    std::sort(sorted.begin(), sorted.end());
-    for (const auto& v : sorted) ctx.emit(key, v);
-  };
+  const auto sort_map = tagging_map();
+  const auto sort_reduce = sorting_reduce();
 
   // MPI-D.
   mapred::JobDef job;
@@ -279,6 +317,54 @@ TEST(NodeAggParityTest, MpidReducerRestartRepullsAggregatedLanes) {
   EXPECT_EQ(inj->log().count(fault::Kind::kTaskCrash), 1u);
   EXPECT_GT(recovered.report.totals.bytes_pre_node_agg,
             recovered.report.totals.bytes_post_node_agg);
+}
+
+// (compression, node_aggregation, map_threads)
+using Composition = std::tuple<shuffle::ShuffleCompression, bool, std::size_t>;
+
+std::string composition_name(
+    const ::testing::TestParamInfo<Composition>& info) {
+  const auto [compression, node_agg, threads] = info.param;
+  const char* codec = compression == shuffle::ShuffleCompression::kOff ? "off"
+                      : compression == shuffle::ShuffleCompression::kAuto
+                          ? "auto"
+                          : "on";
+  return std::string("codec_") + codec + (node_agg ? "_agg" : "_direct") +
+         "_threads" + std::to_string(threads);
+}
+
+class CompositionParityTest : public ::testing::TestWithParam<Composition> {};
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, CompositionParityTest,
+    ::testing::Combine(
+        ::testing::Values(shuffle::ShuffleCompression::kOff,
+                          shuffle::ShuffleCompression::kAuto,
+                          shuffle::ShuffleCompression::kOn),
+        ::testing::Bool(), ::testing::Values(std::size_t{1}, std::size_t{4})),
+    composition_name);
+
+TEST_P(CompositionParityTest, SortJobMatchesSerialReference) {
+  const auto [compression, node_agg, threads] = GetParam();
+  const auto text = corpus(901);
+
+  mapred::JobDef job;
+  job.map = tagging_map();
+  job.reduce = sorting_reduce();
+  job.tuning.shuffle_compression = compression;
+  job.tuning.map_threads = threads;
+  if (node_agg) {
+    job.tuning.node_aggregation = true;
+    job.tuning.ranks_per_node = 2;  // 4 mappers = 2 modeled nodes
+  }
+  constexpr int kMappers = 4;
+  mapred::JobRunner runner(kMappers, /*reducers=*/6);
+  const auto result = runner.run_on_text(job, text);
+
+  EXPECT_EQ(result.outputs, tagging_reference(text, kMappers));
+  if (node_agg) {
+    EXPECT_GE(result.report.totals.bytes_pre_node_agg,
+              result.report.totals.bytes_post_node_agg);
+  }
 }
 
 }  // namespace

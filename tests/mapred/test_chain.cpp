@@ -94,10 +94,6 @@ TEST(JobChain, ValidatesJobShape) {
   EXPECT_THROW(chain.run_on_text(with_combiner, "a 1\n"),
                std::invalid_argument);
 
-  ChainJob coded = countdown_job();
-  coded.tuning.coded_replication = 2;
-  EXPECT_THROW(chain.run_on_text(coded, "a 1\n"), std::invalid_argument);
-
   EXPECT_THROW(chain.run(countdown_job(), std::vector<RecordSource>(1)),
                std::invalid_argument);
 }

@@ -345,13 +345,6 @@ TEST(JobRunner, ReduceSeesAscendingKeysOnEveryPath) {
   EXPECT_TRUE(fs::is_empty(dir));
   fs::remove_all(dir);
 
-  JobDef coded = base;
-  coded.tuning.coded_replication = 2;
-  const auto coded_result =
-      run_recording_keys(coded, kMappers, kReducers, text, "coded r=2");
-  EXPECT_EQ(coded_result.outputs, want);
-  EXPECT_GT(coded_result.report.totals.bytes_pre_coding, 0u);
-
   JobDef aggregated = base;
   aggregated.tuning.node_aggregation = true;
   aggregated.tuning.ranks_per_node = 2;  // 4 mappers = 2 modeled nodes
@@ -507,8 +500,6 @@ TEST(TextInput, RunOnTextEqualsRunOverLineSources) {
          job.tuning.spill_threshold_bytes = 2 * 1024;
        },
        true},
-      {"coded r=2", [](JobDef& job) { job.tuning.coded_replication = 2; },
-       false},
   };
   for (const auto& setup : setups) {
     SCOPED_TRACE(setup.name);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -225,6 +226,30 @@ TEST(MiniChain, MatchesMpidJobChainByteForByte) {
   // The byte tallies use the same arithmetic, so the residency counters
   // agree exactly across the two runtimes.
   EXPECT_EQ(hadoop.resident_bytes_in, mpid.report.totals.resident_bytes_in);
+}
+
+TEST(MiniChain, IngestBytesCountRecordBytesLikeJobChain) {
+  // Both runtimes count ingest_bytes as the record bytes the map reads:
+  // the input's lines without their terminators, and in the round trip
+  // the re-ingested pairs' key and value bytes, which the resident chain
+  // maps in place as resident_bytes_in.
+  const auto text = countdown_text();
+  dfs::MiniDfs fs(3);
+  fs.create("/chain/input.txt", text);
+  MiniCluster cluster(fs, 3);
+  const auto hadoop = cluster.run_chain(countdown_config(true));
+  const auto roundtrip = cluster.run_chain(countdown_config(false));
+
+  mapred::ChainJob job;
+  fill_countdown(job.ingest, job.stages);
+  const auto mpid = mapred::JobChain(3).run_on_text(job, text);
+
+  const auto newlines =
+      static_cast<std::uint64_t>(std::count(text.begin(), text.end(), '\n'));
+  EXPECT_EQ(mpid.report.totals.ingest_bytes, text.size() - newlines);
+  EXPECT_EQ(hadoop.ingest_bytes, mpid.report.totals.ingest_bytes);
+  EXPECT_EQ(roundtrip.ingest_bytes,
+            hadoop.ingest_bytes + hadoop.resident_bytes_in);
 }
 
 TEST(MiniChain, SurvivesInjectedCrashesMidChain) {

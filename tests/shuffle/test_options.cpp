@@ -117,23 +117,5 @@ TEST(ShuffleOptionsTest, SpillDirMustBeAWritableDirectory) {
   EXPECT_NO_THROW(opts.validate());
 }
 
-TEST(ShuffleOptionsTest, CodedReplicationMustBePositive) {
-  ShuffleOptions opts;
-  opts.coded_replication = 1;  // off
-  EXPECT_NO_THROW(opts.validate());
-  opts.coded_replication = 3;  // group shape is checked by the MPI-D ctor
-  EXPECT_NO_THROW(opts.validate());
-  opts.coded_replication = 0;
-  try {
-    opts.validate();
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("coded_replication must be >= 1"), std::string::npos)
-        << msg;
-    EXPECT_NE(msg.find("coding off"), std::string::npos) << msg;
-  }
-}
-
 }  // namespace
 }  // namespace mpid::shuffle
