@@ -319,18 +319,20 @@ TEST(NodeAggParityTest, MpidReducerRestartRepullsAggregatedLanes) {
             recovered.report.totals.bytes_post_node_agg);
 }
 
-// (compression, node_aggregation, map_threads)
-using Composition = std::tuple<shuffle::ShuffleCompression, bool, std::size_t>;
+// (compression, node_aggregation, map_threads, reducers)
+using Composition =
+    std::tuple<shuffle::ShuffleCompression, bool, std::size_t, int>;
 
 std::string composition_name(
     const ::testing::TestParamInfo<Composition>& info) {
-  const auto [compression, node_agg, threads] = info.param;
+  const auto [compression, node_agg, threads, reducers] = info.param;
   const char* codec = compression == shuffle::ShuffleCompression::kOff ? "off"
                       : compression == shuffle::ShuffleCompression::kAuto
                           ? "auto"
                           : "on";
   return std::string("codec_") + codec + (node_agg ? "_agg" : "_direct") +
-         "_threads" + std::to_string(threads);
+         "_threads" + std::to_string(threads) + "_reducers" +
+         std::to_string(reducers);
 }
 
 class CompositionParityTest : public ::testing::TestWithParam<Composition> {};
@@ -340,11 +342,13 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(shuffle::ShuffleCompression::kOff,
                           shuffle::ShuffleCompression::kAuto,
                           shuffle::ShuffleCompression::kOn),
-        ::testing::Bool(), ::testing::Values(std::size_t{1}, std::size_t{4})),
+        ::testing::Bool(), ::testing::Values(std::size_t{1}, std::size_t{4}),
+        // Fewer reducers than mappers, and more.
+        ::testing::Values(2, 6)),
     composition_name);
 
 TEST_P(CompositionParityTest, SortJobMatchesSerialReference) {
-  const auto [compression, node_agg, threads] = GetParam();
+  const auto [compression, node_agg, threads, reducers] = GetParam();
   const auto text = corpus(901);
 
   mapred::JobDef job;
@@ -357,7 +361,7 @@ TEST_P(CompositionParityTest, SortJobMatchesSerialReference) {
     job.tuning.ranks_per_node = 2;  // 4 mappers = 2 modeled nodes
   }
   constexpr int kMappers = 4;
-  mapred::JobRunner runner(kMappers, /*reducers=*/6);
+  mapred::JobRunner runner(kMappers, reducers);
   const auto result = runner.run_on_text(job, text);
 
   EXPECT_EQ(result.outputs, tagging_reference(text, kMappers));
