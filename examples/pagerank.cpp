@@ -90,13 +90,13 @@ std::map<std::string, std::uint64_t> run_chain() {
                    mapred::ChainMapContext& ctx) {
     ctx.emit(key, "=");
     if (rank == "R") return;
-    const auto* links = ctx.statics(key);
-    if (links == nullptr || links->empty()) return;
+    const auto links = ctx.statics(key);
+    if (links.empty()) return;
     // share = d * rank / out_degree, in scaled-integer arithmetic.
     const std::uint64_t share =
-        85 * std::stoull(std::string(rank)) / (100 * links->size());
+        85 * std::stoull(std::string(rank)) / (100 * links.size());
     const std::string msg = ">" + std::to_string(share);
-    for (const auto& target : *links) ctx.emit(target, msg);
+    for (const auto& target : links) ctx.emit(target, msg);
   };
   iterate.reduce = [](std::string_view key, std::vector<std::string>& values,
                       mapred::ChainReduceContext& ctx) {

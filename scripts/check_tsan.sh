@@ -39,6 +39,13 @@ echo "=== TSan: test_integration (composition parity) ==="
 "$BUILD_DIR/tests/test_integration" \
   --gtest_filter='*CompositionParity*' "$@"
 
+# The pinned static channel is read by every mapper and reducer thread of
+# a chain at once: its table tests (4 concurrent readers) and the
+# back-to-back cc runs on both runtimes.
+echo "=== TSan: test_integration (static channel) ==="
+"$BUILD_DIR/tests/test_integration" \
+  --gtest_filter='StaticTables.*:CcRepeatRun.*' "$@"
+
 # 150 plans per workload (wordcount, sort, cc, sssp) and 100 of the
 # threaded slice (wordcount, cc at map_threads = 4) keep the instrumented
 # run short; the uninstrumented tier-1 run covers more plans.

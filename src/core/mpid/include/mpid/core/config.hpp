@@ -105,7 +105,9 @@ struct Stats : shuffle::ShuffleCounters {
   std::uint64_t bytes_sent = 0;      // payload bytes transmitted
   std::uint64_t frames_received = 0;
   std::uint64_t bytes_received = 0;  // payload bytes received
-  std::uint64_t pairs_received = 0;  // pairs handed to MPI_D_Recv
+  /// Pairs handed to the reduce side: by MPI_D_Recv, or as the grouped
+  /// values a mapred reduce (JobRunner, JobChain) is called with.
+  std::uint64_t pairs_received = 0;
   /// Mapper stall: wall time spent inside the transport while flushing
   /// partition frames (send, window wait, buffer turnaround). This is the
   /// time MPI_D_Send steals from map computation; the pipelined shuffle

@@ -108,6 +108,9 @@ class MpiD {
   void fold_counters(const shuffle::ShuffleCounters& counters) {
     stats_.merge(counters);
   }
+  /// As above, for a block that carries transport counters too (e.g. a
+  /// merge-path reducer's pairs_received).
+  void fold_counters(const Stats& counters) { stats_ += counters; }
 
   /// The resolved two-tier store arbiter — Config::memory_budget if the
   /// caller shared one, a per-rank arbiter when memory_budget_bytes > 0,

@@ -43,6 +43,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -88,17 +89,23 @@ class RoundCounters {
 /// The pinned static channel: every (key, value) of `static_input`
 /// realigned once into partition tables by the job's partitioner. Stage
 /// functions read it by key; it never crosses the shuffle again.
+///
+/// Each partition is one flat table (DESIGN.md §16): a value array in
+/// which each key's values sit together in input order, a key arena, and
+/// an open-addressing index of (hash tag, entry) sized from the key
+/// count. The build is O(n) and a lookup is one hash and a short probe.
+/// A built table is immutable, so any number of threads may read it.
 class StaticTables {
  public:
   StaticTables() = default;
   StaticTables(const KvVec& static_input, int partitions,
                const core::Partitioner& partitioner);
 
-  /// The pinned values of `key` on `partition`; null when the key has no
-  /// static entries. The partition must be the key's own (the chain only
-  /// hands contexts their local table).
-  const std::vector<std::string>* find(int partition,
-                                       std::string_view key) const;
+  /// The pinned values of `key` on `partition`, in input order; empty
+  /// when the key has no static entries. The partition must be the key's
+  /// own (the chain only hands contexts their local table).
+  std::span<const std::string> find(int partition,
+                                    std::string_view key) const;
 
   /// Key + value payload bytes of one partition's table (the realign
   /// cost that pinning pays once).
@@ -109,9 +116,31 @@ class StaticTables {
   }
 
  private:
-  std::vector<std::map<std::string, std::vector<std::string>, std::less<>>>
-      tables_;
-  std::vector<std::uint64_t> bytes_;
+  /// One distinct key: its bytes in the key arena and its run of values.
+  struct Entry {
+    std::size_t key_offset = 0;
+    std::size_t key_size = 0;
+    std::uint32_t first_value = 0;
+    std::uint32_t value_count = 0;
+  };
+  /// One index slot: the key hash's high half and entry + 1 (0 = empty).
+  struct Slot {
+    std::uint32_t tag = 0;
+    std::uint32_t entry = 0;
+  };
+  struct Table {
+    /// The index position holding `key`, or the empty slot where it
+    /// would go. `hash` is fnv1a64(key); the index must be non-empty.
+    std::size_t locate(std::string_view key, std::uint64_t hash) const;
+
+    std::vector<std::string> values;
+    std::string keys;
+    std::vector<Entry> entries;
+    std::vector<Slot> index;  // a power of two, at most 2/3 full
+    std::uint64_t bytes = 0;
+  };
+
+  std::vector<Table> tables_;
   std::uint64_t total_bytes_ = 0;
 };
 
@@ -186,11 +215,12 @@ class ChainMapContext {
   void emit(std::string_view key, std::string_view value) {
     sink_(key, value);
   }
-  /// Pinned static values of `key` (null if none). Valid for keys of this
-  /// context's partition — which every resident key handed to this map
-  /// is, by the partition-preserving rule.
-  const std::vector<std::string>* statics(std::string_view key) const {
-    return statics_ ? statics_->find(partition_, key) : nullptr;
+  /// Pinned static values of `key` (empty if none). Valid for keys of
+  /// this context's partition — which every resident key handed to this
+  /// map is, by the partition-preserving rule.
+  std::span<const std::string> statics(std::string_view key) const {
+    return statics_ ? statics_->find(partition_, key)
+                    : std::span<const std::string>{};
   }
   int partition() const noexcept { return partition_; }
   int round() const noexcept { return round_; }
@@ -216,8 +246,9 @@ class ChainReduceContext {
   void emit(std::string_view key, std::string_view value) {
     outputs_.emplace_back(std::string(key), std::string(value));
   }
-  const std::vector<std::string>* statics(std::string_view key) const {
-    return statics_ ? statics_->find(partition_, key) : nullptr;
+  std::span<const std::string> statics(std::string_view key) const {
+    return statics_ ? statics_->find(partition_, key)
+                    : std::span<const std::string>{};
   }
   /// Increments a round counter (aggregated across partitions at the
   /// barrier; drives `until` and lands in RoundReport::counters).

@@ -1,11 +1,14 @@
 #include "mpid/mapred/chain.hpp"
 
+#include <bit>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 
+#include "mpid/common/hash.hpp"
 #include "mpid/core/mpid.hpp"
 #include "mpid/minimpi/world.hpp"
 #include "mpid/shuffle/partition.hpp"
@@ -23,39 +26,133 @@ std::uint64_t kv_bytes(const KvPair& p) noexcept {
 
 // ------------------------------------------------------------ StaticTables --
 
+std::size_t StaticTables::Table::locate(std::string_view key,
+                                        std::uint64_t hash) const {
+  // Fibonacci hashing moves every bit of the hash into the top bits, so
+  // the home slot stays uniform although the default partitioner fixes
+  // hash % partitions for every key of one table.
+  const int shift = 64 - std::countr_zero(index.size());
+  const std::size_t mask = index.size() - 1;
+  const auto tag = static_cast<std::uint32_t>(hash >> 32);
+  for (std::size_t pos = (hash * 0x9e3779b97f4a7c15ULL) >> shift;;
+       pos = (pos + 1) & mask) {
+    const Slot& slot = index[pos];
+    if (slot.entry == 0) return pos;
+    if (slot.tag != tag) continue;
+    const Entry& e = entries[slot.entry - 1];
+    if (std::string_view(keys).substr(e.key_offset, e.key_size) == key) {
+      return pos;
+    }
+  }
+}
+
 StaticTables::StaticTables(const KvVec& static_input, int partitions,
                            const core::Partitioner& partitioner) {
   if (partitions < 1) {
     throw std::invalid_argument("StaticTables: need >= 1 partition");
   }
+  const std::size_t n = static_input.size();
+  if (n >= std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("StaticTables: too many static pairs");
+  }
   tables_.resize(static_cast<std::size_t>(partitions));
-  bytes_.assign(static_cast<std::size_t>(partitions), 0);
   const shuffle::Partitioner part(static_cast<std::uint32_t>(partitions),
                                   partitioner);
-  for (const auto& [key, value] : static_input) {
-    const auto p = part(key);
-    tables_[p][key].push_back(value);
-    bytes_[p] += key.size() + value.size();
+
+  // Pass 1: hash each key once (the default partitioner reuses the hash)
+  // and count each partition's pairs.
+  std::vector<std::uint64_t> hashes(n);
+  std::vector<std::uint32_t> owner(n);
+  std::vector<std::size_t> pairs(tables_.size(), 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& [key, value] = static_input[i];
+    hashes[i] = common::fnv1a64(key);
+    owner[i] = part.of_hashed(key, hashes[i]);
+    ++pairs[owner[i]];
+    tables_[owner[i]].bytes += key.size() + value.size();
     total_bytes_ += key.size() + value.size();
+  }
+  // An index of slots_for(n) slots holding n keys is at most two-thirds
+  // full, so a probe always reaches an empty slot.
+  const auto slots_for = [](std::size_t keys) {
+    return std::bit_ceil(keys * 3 / 2 + 1);
+  };
+  for (std::size_t p = 0; p < tables_.size(); ++p) {
+    // The pair count bounds the distinct keys.
+    if (pairs[p] > 0) tables_[p].index.resize(slots_for(pairs[p]));
+  }
+
+  // Pass 2: find or add each key's entry and count its values.
+  std::vector<std::uint32_t> entry_of(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::string& key = static_input[i].first;
+    Table& t = tables_[owner[i]];
+    Slot& slot = t.index[t.locate(key, hashes[i])];
+    if (slot.entry == 0) {
+      t.entries.push_back(
+          {.key_offset = t.keys.size(), .key_size = key.size()});
+      t.keys += key;
+      slot = {.tag = static_cast<std::uint32_t>(hashes[i] >> 32),
+              .entry = static_cast<std::uint32_t>(t.entries.size())};
+    }
+    entry_of[i] = slot.entry - 1;
+    ++t.entries[entry_of[i]].value_count;
+  }
+  hashes = {};  // not needed past this point; lowers the build's peak
+
+  // Re-index each table for its distinct keys, which are usually far
+  // fewer than its pairs: the pinned index then stays small and cached.
+  for (Table& t : tables_) {
+    if (t.entries.empty()) continue;
+    t.index = std::vector<Slot>(slots_for(t.entries.size()));
+    for (std::size_t e = 0; e < t.entries.size(); ++e) {
+      const auto key = std::string_view(t.keys).substr(
+          t.entries[e].key_offset, t.entries[e].key_size);
+      const std::uint64_t hash = common::fnv1a64(key);
+      t.index[t.locate(key, hash)] = {
+          .tag = static_cast<std::uint32_t>(hash >> 32),
+          .entry = static_cast<std::uint32_t>(e + 1)};
+    }
+  }
+
+  // Pass 3: lay each key's run out behind the previous key's, then copy
+  // the values in, so each run keeps input order.
+  for (Table& t : tables_) {
+    std::uint32_t next = 0;
+    for (Entry& e : t.entries) {
+      e.first_value = next;
+      next += e.value_count;
+      e.value_count = 0;
+    }
+    t.values.resize(next);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    Table& t = tables_[owner[i]];
+    Entry& e = t.entries[entry_of[i]];
+    t.values[e.first_value + e.value_count++] = static_input[i].second;
   }
 }
 
-const std::vector<std::string>* StaticTables::find(
-    int partition, std::string_view key) const {
+std::span<const std::string> StaticTables::find(int partition,
+                                                std::string_view key) const {
   if (partition < 0 ||
       static_cast<std::size_t>(partition) >= tables_.size()) {
-    return nullptr;
+    return {};
   }
-  const auto& table = tables_[static_cast<std::size_t>(partition)];
-  const auto it = table.find(key);
-  return it == table.end() ? nullptr : &it->second;
+  const Table& t = tables_[static_cast<std::size_t>(partition)];
+  if (t.index.empty()) return {};
+  const Slot& slot = t.index[t.locate(key, common::fnv1a64(key))];
+  if (slot.entry == 0) return {};
+  const Entry& e = t.entries[slot.entry - 1];
+  return {t.values.data() + e.first_value, e.value_count};
 }
 
 std::uint64_t StaticTables::partition_bytes(int partition) const {
-  if (partition < 0 || static_cast<std::size_t>(partition) >= bytes_.size()) {
+  if (partition < 0 ||
+      static_cast<std::size_t>(partition) >= tables_.size()) {
     return 0;
   }
-  return bytes_[static_cast<std::size_t>(partition)];
+  return tables_[static_cast<std::size_t>(partition)].bytes;
 }
 
 // ------------------------------------------------------- ResidentPartition --
@@ -370,9 +467,12 @@ void run_round(core::MpiD& mpid, ChainState& state, const ChainJob& job,
       detail::ReduceTask task(mpid, job.tuning);
       task.collect();
       ChainReduceContext ctx(state.statics, p, round);
-      task.reduce([&](std::string_view key, std::vector<std::string>& values) {
-        job.stages[cur.stage].reduce(key, values, ctx);
-      });
+      core::Stats received;
+      received.pairs_received = task.reduce(
+          [&](std::string_view key, std::vector<std::string>& values) {
+            job.stages[cur.stage].reduce(key, values, ctx);
+          });
+      mpid.fold_counters(received);
       if (!live) return;
       auto& part = state.resident[static_cast<std::size_t>(p)];
       part.seal(ctx.take_emitted(), state.resident_budget.get(),

@@ -35,8 +35,10 @@ JobResult run_job(const JobDef& job, int mappers, int reducers,
   // shipped frame to be one sorted run.
   config.sort_keys = true;
 
-  // Each reducer writes only its own run; run_world's join publishes them.
+  // Each reducer writes only its own run and received count; run_world's
+  // join publishes them.
   std::vector<KvVec> runs(static_cast<std::size_t>(reducers));
+  std::vector<std::uint64_t> received(static_cast<std::size_t>(reducers), 0);
   core::JobReport report;
 
   // One split per mapper, filled when its map task loads it.
@@ -62,11 +64,13 @@ JobResult run_job(const JobDef& job, int mappers, int reducers,
         task.collect();
         mpid.finalize();
 
+        const auto r = static_cast<std::size_t>(mpid.reducer_index());
         ReduceContext ctx(mpid.reducer_index());
-        task.reduce([&](std::string_view key, std::vector<std::string>& values) {
-          job.reduce(key, values, ctx);
-        });
-        auto& run = runs[static_cast<std::size_t>(mpid.reducer_index())];
+        received[r] = task.reduce(
+            [&](std::string_view key, std::vector<std::string>& values) {
+              job.reduce(key, values, ctx);
+            });
+        auto& run = runs[r];
         run = ctx.take_emitted();
         detail::sort_run(run);
         break;
@@ -77,6 +81,13 @@ JobResult run_job(const JobDef& job, int mappers, int reducers,
         break;
     }
   });
+
+  // The reduce runs after finalize() shipped the reducers' stats, so its
+  // count joins the report (and its one barrier entry) here.
+  for (const std::uint64_t n : received) {
+    report.totals.pairs_received += n;
+    report.round_totals.back().pairs_received += n;
+  }
 
   JobResult result;
   result.outputs = detail::merge_runs(std::move(runs));

@@ -205,10 +205,15 @@ void ReduceTask::collect() {
   }
 }
 
-void ReduceTask::reduce(const GroupFn& fn) {
+std::uint64_t ReduceTask::reduce(const GroupFn& fn) {
   std::string key;
   std::vector<std::string> values;
-  while (merger_.next_group(key, values)) fn(key, values);
+  std::uint64_t received = 0;
+  while (merger_.next_group(key, values)) {
+    received += values.size();
+    fn(key, values);
+  }
+  return received;
 }
 
 void sort_run(KvVec& run) {

@@ -97,8 +97,9 @@ class ReduceTask {
   /// spill counters folded here.
   void collect();
 
-  /// Calls `fn` once per key, in key order.
-  void reduce(const GroupFn& fn);
+  /// Calls `fn` once per key, in key order. Returns the values handed to
+  /// `fn`: the task's Stats::pairs_received.
+  std::uint64_t reduce(const GroupFn& fn);
 
  private:
   void arm_merger();

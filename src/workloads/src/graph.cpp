@@ -166,10 +166,8 @@ mapred::ChainJob cc_job(const std::string& edge_text, int max_rounds) {
   propagate.map = [](std::string_view key, std::string_view label,
                      mapred::ChainMapContext& ctx) {
     ctx.emit(key, std::string("=") += label);
-    if (const auto* neighbors = ctx.statics(key)) {
-      const std::string msg = std::string(">") += label;
-      for (const auto& n : *neighbors) ctx.emit(n, msg);
-    }
+    const std::string msg = std::string(">") += label;
+    for (const auto& n : ctx.statics(key)) ctx.emit(n, msg);
   };
   propagate.reduce = min_propagate_reduce;
   propagate.max_rounds = max_rounds;
@@ -204,12 +202,10 @@ mapred::ChainJob sssp_job(const std::string& edge_text,
     ctx.emit(key, std::string("=") += dist);
     if (dist == kInf) return;
     const std::uint64_t d = std::stoull(std::string(dist));
-    if (const auto* neighbors = ctx.statics(key)) {
-      for (const auto& entry : *neighbors) {
-        const auto bar = entry.rfind('|');
-        const std::uint64_t w = std::stoull(entry.substr(bar + 1));
-        ctx.emit(std::string_view(entry).substr(0, bar), ">" + pad_dist(d + w));
-      }
+    for (const auto& entry : ctx.statics(key)) {
+      const auto bar = entry.rfind('|');
+      const std::uint64_t w = std::stoull(entry.substr(bar + 1));
+      ctx.emit(std::string_view(entry).substr(0, bar), ">" + pad_dist(d + w));
     }
   };
   relax.reduce = min_propagate_reduce;
@@ -309,12 +305,12 @@ mapred::ChainJob pagerank_job(const std::string& edge_text, int rounds,
                    mapred::ChainMapContext& ctx) {
     ctx.emit(key, "=");
     if (rank == "R") return;  // round 1: init markers carry no mass
-    const auto* neighbors = ctx.statics(key);
-    if (neighbors == nullptr || neighbors->empty()) return;
+    const auto neighbors = ctx.statics(key);
+    if (neighbors.empty()) return;
     const std::uint64_t share =
-        std::stoull(std::string(rank)) / neighbors->size();
+        std::stoull(std::string(rank)) / neighbors.size();
     const std::string msg = ">" + std::to_string(share);
-    for (const auto& n : *neighbors) ctx.emit(n, msg);
+    for (const auto& n : neighbors) ctx.emit(n, msg);
   };
   iterate.reduce = [base, n](std::string_view key,
                              std::vector<std::string>& values,

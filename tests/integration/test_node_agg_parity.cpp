@@ -365,6 +365,13 @@ TEST_P(CompositionParityTest, SortJobMatchesSerialReference) {
   const auto result = runner.run_on_text(job, text);
 
   EXPECT_EQ(result.outputs, tagging_reference(text, kMappers));
+  // No combiner: every pair a mapper sends reaches a reduce.
+  EXPECT_GT(result.report.totals.pairs_sent, 0u);
+  EXPECT_EQ(result.report.totals.pairs_received,
+            result.report.totals.pairs_sent);
+  ASSERT_EQ(result.report.round_totals.size(), 1u);
+  EXPECT_EQ(result.report.round_totals[0].pairs_received,
+            result.report.totals.pairs_received);
   if (node_agg) {
     EXPECT_GE(result.report.totals.bytes_pre_node_agg,
               result.report.totals.bytes_post_node_agg);

@@ -131,6 +131,16 @@ TEST(JobChain, ConvergesAndReportsRounds) {
   for (std::size_t r = 1; r < result.report.round_totals.size(); ++r) {
     EXPECT_EQ(result.report.round_totals[r].ingest_bytes, 0u);
   }
+
+  // Chains run no combiner, so each round's reduces receive every pair
+  // its mappers sent; the teardown barrier moves none.
+  for (std::size_t r = 0; r < result.report.round_totals.size(); ++r) {
+    const auto& round = result.report.round_totals[r];
+    EXPECT_EQ(round.pairs_received, round.pairs_sent) << "barrier " << r;
+    EXPECT_EQ(round.pairs_received == 0, r == 5) << "barrier " << r;
+  }
+  EXPECT_EQ(result.report.totals.pairs_received,
+            result.report.totals.pairs_sent);
 }
 
 TEST(JobChain, FixedRoundPlanSkipsTeardownBarrier) {
@@ -232,7 +242,7 @@ ChainJob statics_job() {
   stage.map = [](std::string_view key, std::string_view value,
                  ChainMapContext& ctx) {
     // The map side must see the pinned table too.
-    if (ctx.statics(key) == nullptr) {
+    if (ctx.statics(key).empty()) {
       ctx.emit(key, "missing-static");
       return;
     }
@@ -240,8 +250,8 @@ ChainJob statics_job() {
   };
   stage.reduce = [](std::string_view key, std::vector<std::string>& values,
                     ChainReduceContext& ctx) {
-    const auto* weights = ctx.statics(key);
-    long w = weights ? std::stol(weights->front()) : 0;
+    const auto weights = ctx.statics(key);
+    long w = weights.empty() ? 0 : std::stol(weights.front());
     long n = 0;
     for (const auto& v : values) n += std::stol(v);
     ctx.emit(key, std::to_string(n + w));

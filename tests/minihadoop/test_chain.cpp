@@ -152,12 +152,12 @@ MiniChainConfig statics_config(bool resident) {
   stage.name = "accumulate";
   stage.map = [](std::string_view key, std::string_view value,
                  mapred::ChainMapContext& ctx) {
-    ctx.emit(key, ctx.statics(key) == nullptr ? "missing-static" : value);
+    ctx.emit(key, ctx.statics(key).empty() ? "missing-static" : value);
   };
   stage.reduce = [](std::string_view key, std::vector<std::string>& values,
                     mapred::ChainReduceContext& ctx) {
-    const auto* weights = ctx.statics(key);
-    long n = weights ? std::stol(weights->front()) : 0;
+    const auto weights = ctx.statics(key);
+    long n = weights.empty() ? 0 : std::stol(weights.front());
     for (const auto& v : values) n += std::stol(v);
     ctx.emit(key, std::to_string(n));
   };
