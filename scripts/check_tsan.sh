@@ -22,7 +22,7 @@ BUILD_DIR=build-tsan
 cmake -B "$BUILD_DIR" -S . -DMPID_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build "$BUILD_DIR" --target test_minimpi test_mpid test_shuffle test_common \
-  test_minihadoop test_integration test_chaos -j
+  test_minihadoop test_integration test_chaos test_mapred -j
 
 # halt_on_error makes a race fail the test run instead of just logging.
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
@@ -45,6 +45,15 @@ echo "=== TSan: test_integration (composition parity) ==="
 echo "=== TSan: test_integration (static channel) ==="
 "$BUILD_DIR/tests/test_integration" \
   --gtest_filter='StaticTables.*:CcRepeatRun.*' "$@"
+
+# JobRunner's reducers write their output runs before the final barrier
+# and the master merges them as soon as every reducer's done message has
+# arrived: the output-contract tests, a failing reduce and back-to-back
+# sort- and wordcount-shaped jobs run that hand-off under instrumentation
+# (JobRunner* also matches the JobRunnerOutput and JobRunnerRepeatRun
+# suites).
+echo "=== TSan: test_mapred (JobRunner) ==="
+"$BUILD_DIR/tests/test_mapred" --gtest_filter='JobRunner*:TextInput*' "$@"
 
 # 150 plans per workload (wordcount, sort, cc, sssp) and 100 of the
 # threaded slice (wordcount, cc at map_threads = 4) keep the instrumented

@@ -467,12 +467,9 @@ void run_round(core::MpiD& mpid, ChainState& state, const ChainJob& job,
       detail::ReduceTask task(mpid, job.tuning);
       task.collect();
       ChainReduceContext ctx(state.statics, p, round);
-      core::Stats received;
-      received.pairs_received = task.reduce(
-          [&](std::string_view key, std::vector<std::string>& values) {
-            job.stages[cur.stage].reduce(key, values, ctx);
-          });
-      mpid.fold_counters(received);
+      task.reduce([&](std::string_view key, std::vector<std::string>& values) {
+        job.stages[cur.stage].reduce(key, values, ctx);
+      });
       if (!live) return;
       auto& part = state.resident[static_cast<std::size_t>(p)];
       part.seal(ctx.take_emitted(), state.resident_budget.get(),

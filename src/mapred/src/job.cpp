@@ -1,5 +1,6 @@
 #include "mpid/mapred/job.hpp"
 
+#include <exception>
 #include <stdexcept>
 
 #include "mpid/core/mpid.hpp"
@@ -35,11 +36,10 @@ JobResult run_job(const JobDef& job, int mappers, int reducers,
   // shipped frame to be one sorted run.
   config.sort_keys = true;
 
-  // Each reducer writes only its own run and received count; run_world's
-  // join publishes them.
+  // Each reducer writes only its own run, before its done message; the
+  // master reads the runs once finalize() has received every done.
   std::vector<KvVec> runs(static_cast<std::size_t>(reducers));
-  std::vector<std::uint64_t> received(static_cast<std::size_t>(reducers), 0);
-  core::JobReport report;
+  JobResult result;
 
   // One split per mapper, filled when its map task loads it.
   std::vector<std::vector<std::string>> splits(inputs.size());
@@ -60,38 +60,39 @@ JobResult run_job(const JobDef& job, int mappers, int reducers,
         break;
       }
       case core::Role::kReducer: {
+        // Reduce before the barrier, as JobChain does, so the reducer
+        // never waits on the other ranks with its work still to do.
         detail::ReduceTask task(mpid, config);
         task.collect();
-        mpid.finalize();
-
-        const auto r = static_cast<std::size_t>(mpid.reducer_index());
+        auto& run = runs[static_cast<std::size_t>(mpid.reducer_index())];
         ReduceContext ctx(mpid.reducer_index());
-        received[r] = task.reduce(
-            [&](std::string_view key, std::vector<std::string>& values) {
-              job.reduce(key, values, ctx);
-            });
-        auto& run = runs[r];
-        run = ctx.take_emitted();
-        detail::sort_run(run);
+        std::exception_ptr error;
+        try {
+          task.reduce([&](std::string_view key,
+                          std::vector<std::string>& values) {
+            job.reduce(key, values, ctx);
+          });
+          run = ctx.take_emitted();
+          detail::sort_run(run);
+        } catch (...) {
+          // A failed reduce still reaches the barrier, with an empty run,
+          // so the master does not wait out the world timeout for it.
+          error = std::current_exception();
+          run.clear();
+        }
+        mpid.finalize();
+        if (error) std::rethrow_exception(error);
         break;
       }
       case core::Role::kMaster:
         mpid.finalize();
-        report = mpid.report();
+        result.report = mpid.report();
+        // Every run is final: its reducer wrote it before sending done.
+        // The merge overlaps the workers' release and teardown.
+        result.outputs = detail::merge_runs(std::move(runs));
         break;
     }
   });
-
-  // The reduce runs after finalize() shipped the reducers' stats, so its
-  // count joins the report (and its one barrier entry) here.
-  for (const std::uint64_t n : received) {
-    report.totals.pairs_received += n;
-    report.round_totals.back().pairs_received += n;
-  }
-
-  JobResult result;
-  result.outputs = detail::merge_runs(std::move(runs));
-  result.report = std::move(report);
   return result;
 }
 

@@ -197,23 +197,20 @@ void ReduceTask::collect() {
       arm_merger();
     }
   }
-  if (budgeted_) {
-    // Compact now, so the spill counters are final when the barrier ships
-    // them.
-    merger_.finish_spill_phase();
-    mpid_.fold_counters(spill_counters_);
-  }
 }
 
-std::uint64_t ReduceTask::reduce(const GroupFn& fn) {
+void ReduceTask::reduce(const GroupFn& fn) {
   std::string key;
   std::vector<std::string> values;
-  std::uint64_t received = 0;
+  core::Stats counters;
   while (merger_.next_group(key, values)) {
-    received += values.size();
+    counters.pairs_received += values.size();
     fn(key, values);
   }
-  return received;
+  // Folded once the merge is exhausted: the disk tier's final merge adds
+  // its read time to spill_ns inside next_group().
+  counters.merge(spill_counters_);
+  mpid_.fold_counters(counters);
 }
 
 void sort_run(KvVec& run) {

@@ -5,8 +5,10 @@
 // drivers own everything else. On the map side that is streaming versus
 // loaded input, worker-pool chunks, straggler delays, injected crashes
 // and the restart loop. On the reduce side it is the crash/re-pull loop
-// and the merge phase; and each runner collects output through sort_run
-// and merge_runs.
+// and the merge phase. Both runners reduce before the rank's barrier and
+// collect output through sort_run and merge_runs: JobRunner's master
+// merges the reducers' runs as soon as its finalize() has received every
+// reducer's done, which each reducer sends after writing its run.
 #pragma once
 
 #include <cstddef>
@@ -93,13 +95,14 @@ class ReduceTask {
 
   /// Receives the round's whole shuffle. An injected crash restarts the
   /// attempt: what was received is discarded and every lane re-pulled.
-  /// Call before the rank's finalize() or next_round(), which ship the
-  /// spill counters folded here.
   void collect();
 
-  /// Calls `fn` once per key, in key order. Returns the values handed to
-  /// `fn`: the task's Stats::pairs_received.
-  std::uint64_t reduce(const GroupFn& fn);
+  /// Calls `fn` once per key, in key order, then folds the task's
+  /// counters into the rank's Stats: the values handed to `fn`
+  /// (pairs_received) and the merger's spill counters. Call after
+  /// collect() and before the rank's finalize() or next_round(), which
+  /// ship them.
+  void reduce(const GroupFn& fn);
 
  private:
   void arm_merger();

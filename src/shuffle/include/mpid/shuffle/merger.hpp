@@ -63,9 +63,9 @@ class SegmentMerger {
                     store::MemoryBudget* budget, ShuffleCounters* counters);
 
   /// Runs the fan-in compaction passes (if spilling happened) so every
-  /// spill counter is final. Idempotent; next_group() calls it lazily,
-  /// but a caller that ships counters before reducing — MPI-D folds stats
-  /// at finalize() — must call it first.
+  /// compaction counter is final. Idempotent; next_group() calls it
+  /// lazily. The final merge's read time still adds to spill_ns inside
+  /// next_group(), so spill_ns is final only once it returns false.
   void finish_spill_phase();
 
   /// Produces the next group in ascending key order, concatenating the

@@ -1,23 +1,27 @@
 // JobRunner tests: WordCount semantics, grouping, the merge reduce's key
-// order, input splitting, and agreement between the MPI-D path and a
-// serial reference.
+// order, input splitting, agreement between the MPI-D path and a serial
+// reference, a failing reduce, and back-to-back runs.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "mpid/common/prng.hpp"
 #include "mpid/fault/fault.hpp"
 #include "mpid/mapred/job.hpp"
+#include "mpid/workloads/text.hpp"
 
 namespace mpid::mapred {
 namespace {
@@ -516,6 +520,98 @@ TEST(TextInput, RunOnTextEqualsRunOverLineSources) {
     if (setup.restarts) {
       EXPECT_EQ(viewed.report.totals.task_restarts, 1u);
       EXPECT_EQ(copied.report.totals.task_restarts, 1u);
+    }
+  }
+}
+
+// --- reducer lifecycle ----------------------------------------------------
+//
+// A reducer reduces and writes its run before the job's final barrier,
+// and the master merges the runs as soon as that barrier has heard from
+// every reducer.
+
+TEST(JobRunner, ThrowingReduceFailsFastWithItsMessage) {
+  const std::string text = neighbour_corpus(3, 200, 40);
+  for (const bool resilient : {false, true}) {
+    for (const int thrower : {-1, 1}) {  // -1: every reducer throws
+      SCOPED_TRACE(std::string(resilient ? "resilient" : "plain") +
+                   (thrower < 0 ? ", every reducer" : ", reducer 1"));
+      JobDef job = wordcount_job();
+      job.tuning.resilient_shuffle = resilient;
+      job.reduce = [thrower](std::string_view, std::span<const std::string>,
+                             ReduceContext& ctx) {
+        if (thrower < 0 || ctx.reducer_index() == thrower) {
+          throw std::runtime_error("user reduce failed");
+        }
+      };
+      const auto start = std::chrono::steady_clock::now();
+      try {
+        JobRunner(2, 2).run_on_text(job, text);
+        ADD_FAILURE() << "the job did not throw";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "user reduce failed");
+      }
+      EXPECT_LT(std::chrono::steady_clock::now() - start,
+                std::chrono::seconds(1));
+    }
+  }
+}
+
+/// jobbench's sort record: a 10-byte key, then the payload after one
+/// separator byte.
+void sort_map(std::string_view record, MapContext& ctx) {
+  constexpr std::size_t kKeyBytes = 10;
+  if (record.size() <= kKeyBytes) {
+    ctx.emit(record, {});
+  } else {
+    ctx.emit(record.substr(0, kKeyBytes), record.substr(kKeyBytes + 1));
+  }
+}
+
+void identity_reduce(std::string_view key, std::span<const std::string> values,
+                     ReduceContext& ctx) {
+  for (const auto& v : values) ctx.emit(key, v);
+}
+
+TEST(JobRunnerRepeatRun, EveryBackToBackRunMatchesTheReference) {
+  // Each run publishes its reducers' runs to the master through the final
+  // barrier; back-to-back 2x2 jobs shaped like jobbench's wordcount
+  // (Zipf text, summing combiner) and sort (unique keys, identity reduce,
+  // no combiner) check every run's output and counters.
+  constexpr int kRuns = 10;
+  std::string records;
+  auto source = workloads::record_source({}, 256 << 10, /*seed=*/7);
+  while (auto record = source()) records += *record + '\n';
+  JobDef sort_job;
+  sort_job.map = sort_map;
+  sort_job.reduce = identity_reduce;
+  const std::vector<std::tuple<const char*, JobDef, std::string>> shapes = {
+      {"wordcount", wordcount_job(),
+       workloads::generate_text({}, 128 << 10, /*seed=*/7)},
+      {"sort", sort_job, records}};
+  for (const auto& [name, base, text] : shapes) {
+    const KvVec want = serial_reference(base, text);
+    for (const bool resilient : {false, true}) {
+      JobDef job = base;
+      job.tuning.resilient_shuffle = resilient;
+      for (int run = 0; run < kRuns; ++run) {
+        SCOPED_TRACE(std::string(name) + (resilient ? ", resilient" : "") +
+                     ", run " + std::to_string(run));
+        const auto result = JobRunner(2, 2).run_on_text(job, text);
+        ASSERT_EQ(result.outputs, want);
+        // Every pair that crossed the shuffle reaches a reduce, in the
+        // totals and in the one barrier's entry; with no combiner, that
+        // is every pair the maps sent.
+        const auto& totals = result.report.totals;
+        ASSERT_GT(totals.pairs_after_combine, 0u);
+        ASSERT_EQ(totals.pairs_received, totals.pairs_after_combine);
+        if (!job.combiner) {
+          ASSERT_EQ(totals.pairs_received, totals.pairs_sent);
+        }
+        ASSERT_EQ(result.report.round_totals.size(), 1u);
+        ASSERT_EQ(result.report.round_totals[0].pairs_received,
+                  totals.pairs_received);
+      }
     }
   }
 }
